@@ -7,12 +7,15 @@
 #include <benchmark/benchmark.h>
 
 #include "common/distance.h"
+#include "common/kernel_backend.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "graph/knn_graph.h"
 #include "graph/union_find.h"
 #include "knn/kdtree.h"
+#include "nn/loss.h"
 #include "nn/mlp.h"
+#include "nn/optimizer.h"
 
 namespace enld {
 namespace {
@@ -90,7 +93,7 @@ BENCHMARK(BM_ScalarDistanceLoop)
     ->Args({16384, 64});
 
 void BM_BatchedDistance(benchmark::State& state, const char* backend) {
-  if (!SetDistanceKernelBackend(backend)) {
+  if (!SetKernelBackend(backend)) {
     state.SkipWithError("backend unavailable on this CPU");
     return;
   }
@@ -110,7 +113,7 @@ void BM_BatchedDistance(benchmark::State& state, const char* backend) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
-  SetDistanceKernelBackend("auto");
+  SetKernelBackend("auto");
 }
 BENCHMARK_CAPTURE(BM_BatchedDistance, generic, "generic")
     ->Args({16, 64})
@@ -121,18 +124,116 @@ BENCHMARK_CAPTURE(BM_BatchedDistance, avx2, "avx2")
     ->Args({1024, 64})
     ->Args({16384, 64});
 
-void BM_MatMul(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Matrix a = RandomPoints(n, n, 6);
-  const Matrix b = RandomPoints(n, n, 7);
-  Matrix out;
+// ---- GEMM kernel rows (docs/BENCHMARKS.md, "GEMM kernel") ----
+// The fine-tune shapes: a batch of 64 through the 32 -> 128 -> 64 -> 100
+// MLP. Args are the product's {m, k, n}. MatMul rows are the forward
+// layers, MatMulAt rows the weight gradients X^T dY, MatMulBt rows the
+// input gradients dY W^T (the first layer's is never computed).
+
+void ForwardShapes(benchmark::internal::Benchmark* b) {
+  b->Args({64, 32, 128})->Args({64, 128, 64})->Args({64, 64, 100});
+}
+
+void WeightGradShapes(benchmark::internal::Benchmark* b) {
+  b->Args({32, 64, 128})->Args({128, 64, 64})->Args({64, 64, 100});
+}
+
+void InputGradShapes(benchmark::internal::Benchmark* b) {
+  b->Args({64, 64, 128})->Args({64, 100, 64});
+}
+
+/// The naive triple loop in the kernels' bit-contract order. Its inner
+/// loop is a sequential fp32 sum, which the compiler cannot vectorize, so
+/// this is the scalar baseline the kernel rows divide by.
+void BM_MatMulScalar(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  const Matrix a = RandomPoints(m, k, 6);
+  const Matrix b = RandomPoints(k, n, 7);
+  Matrix out(m, n);
   for (auto _ : state) {
-    MatMul(a, b, &out);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        float sum = 0.0f;
+        for (size_t p = 0; p < k; ++p) sum += a(i, p) * b(p, j);
+        out(i, j) = sum;
+      }
+    }
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_MatMulScalar)->Apply(ForwardShapes);
+
+using ProductFn = void (*)(const Matrix&, const Matrix&, Matrix*);
+
+/// Times `product` on operands of the given shapes under `backend`.
+void RunProduct(benchmark::State& state, const char* backend,
+                ProductFn product, size_t a_rows, size_t a_cols,
+                size_t b_rows, size_t b_cols) {
+  if (!SetKernelBackend(backend)) {
+    state.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
+  const Matrix a = RandomPoints(a_rows, a_cols, 6);
+  const Matrix b = RandomPoints(b_rows, b_cols, 7);
+  Matrix out;
+  for (auto _ : state) {
+    product(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          state.range(1) * state.range(2));
+  SetKernelBackend("auto");
+}
+
+void BM_MatMul(benchmark::State& state, const char* backend) {
+  const size_t m = state.range(0), k = state.range(1), n = state.range(2);
+  RunProduct(state, backend, MatMul, m, k, k, n);
+}
+
+void BM_MatMulAt(benchmark::State& state, const char* backend) {
+  const size_t m = state.range(0), k = state.range(1), n = state.range(2);
+  auto product = [](const Matrix& a, const Matrix& b, Matrix* out) {
+    MatMulAt(a, b, out);
+  };
+  RunProduct(state, backend, product, k, m, k, n);
+}
+
+void BM_MatMulBt(benchmark::State& state, const char* backend) {
+  const size_t m = state.range(0), k = state.range(1), n = state.range(2);
+  RunProduct(state, backend, MatMulBt, m, k, n, k);
+}
+
+BENCHMARK_CAPTURE(BM_MatMul, generic, "generic")->Apply(ForwardShapes);
+BENCHMARK_CAPTURE(BM_MatMul, avx2, "avx2")->Apply(ForwardShapes);
+BENCHMARK_CAPTURE(BM_MatMul, auto, "auto")->Apply(ForwardShapes);
+BENCHMARK_CAPTURE(BM_MatMulAt, generic, "generic")->Apply(WeightGradShapes);
+BENCHMARK_CAPTURE(BM_MatMulAt, avx2, "avx2")->Apply(WeightGradShapes);
+BENCHMARK_CAPTURE(BM_MatMulAt, auto, "auto")->Apply(WeightGradShapes);
+BENCHMARK_CAPTURE(BM_MatMulBt, generic, "generic")->Apply(InputGradShapes);
+BENCHMARK_CAPTURE(BM_MatMulBt, avx2, "avx2")->Apply(InputGradShapes);
+BENCHMARK_CAPTURE(BM_MatMulBt, auto, "auto")->Apply(InputGradShapes);
+
+/// One SGD step of the fine-tune MLP on a batch of 64: forward, backward
+/// and update, all on the dispatched backend.
+void BM_MlpTrainStep(benchmark::State& state) {
+  Rng rng(13);
+  MlpModel model({32, 128, 64, 100}, rng);
+  SgdOptimizer optimizer(SgdConfig{});
+  const Matrix inputs = RandomPoints(64, 32, 14);
+  std::vector<int> labels(64);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i * 37 % 100);
+  }
+  const Matrix targets = OneHot(labels, 100);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.TrainStep(inputs, targets, &optimizer));
+  }
+  state.SetItemsProcessed(state.iterations() * inputs.rows());
+}
+BENCHMARK(BM_MlpTrainStep);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const Matrix logits = RandomPoints(1024, 100, 8);

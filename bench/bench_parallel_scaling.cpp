@@ -30,6 +30,7 @@
 
 #include "bench_util.h"
 #include "common/distance.h"
+#include "common/kernel_backend.h"
 #include "common/matrix.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -165,7 +166,7 @@ double PrintDistanceKernelTable() {
                 TablePrinter::Num(1.0, 2)});
   double dispatched_speedup = 0.0;
   for (const char* backend : {"generic", "avx2"}) {
-    if (!SetDistanceKernelBackend(backend)) continue;
+    if (!SetKernelBackend(backend)) continue;
     Stopwatch watch;
     for (int rep = 0; rep < kReps; ++rep) {
       BatchedSquaredDistances(soa.data(), stride, n, dim, query.data(),
@@ -176,7 +177,7 @@ double PrintDistanceKernelTable() {
                   TablePrinter::Num(scalar_seconds / seconds, 2)});
     dispatched_speedup = scalar_seconds / seconds;
   }
-  SetDistanceKernelBackend("auto");
+  SetKernelBackend("auto");
   table.Print("distance kernel — 1024 points x 64 dims per query");
   return dispatched_speedup;
 }

@@ -1,44 +1,49 @@
 #include "common/distance.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
-#if defined(__x86_64__) || defined(__i386__)
+#include "common/kernel_backend.h"
+
+#ifdef ENLD_KERNEL_X86
 #include <immintrin.h>
-#define ENLD_DISTANCE_X86 1
 #endif
 
 namespace enld {
 
 namespace {
 
-using KernelFn = void (*)(const float* soa, size_t stride, size_t count,
-                          size_t dim, const float* query, float* out);
-
 /// Plain-C++ fallback: 8 independent fp32 accumulators, one per lane,
-/// each summing (p[d] - q[d])^2 over dimensions in index order — the same
+/// held as two 4-lane vector values (common/kernel_backend.h), each lane
+/// summing (p[d] - q[d])^2 over dimensions in index order — the same
 /// operation sequence per lane as the AVX2 path (and as SquaredDistance),
 /// so results match bitwise. The TU is built with -ffp-contract=off so
 /// the compiler cannot fuse the mul+add into FMA here but not there.
+/// Written as a plain 8-lane loop nest, -O3 vectorizes it across
+/// dimensions instead, with in-order reductions that run slower than the
+/// scalar loop.
 void GenericKernel(const float* soa, size_t stride, size_t count, size_t dim,
                    const float* query, float* out) {
   for (size_t base = 0; base < count; base += kDistanceLanes) {
-    float acc[kDistanceLanes] = {0.0f};
+    Lanes4 lo = {}, hi = {};
     for (size_t d = 0; d < dim; ++d) {
       const float q = query[d];
       const float* row = soa + d * stride + base;
-      for (size_t lane = 0; lane < kDistanceLanes; ++lane) {
-        const float diff = row[lane] - q;
-        acc[lane] += diff * diff;
-      }
+      Lanes4 p_lo, p_hi;
+      std::memcpy(&p_lo, row, sizeof(p_lo));
+      std::memcpy(&p_hi, row + 4, sizeof(p_hi));
+      const Lanes4 diff_lo = p_lo - q;
+      const Lanes4 diff_hi = p_hi - q;
+      lo += diff_lo * diff_lo;
+      hi += diff_hi * diff_hi;
     }
+    const Lanes4 acc[2] = {lo, hi};
     const size_t n = std::min(kDistanceLanes, count - base);
-    for (size_t lane = 0; lane < n; ++lane) out[base + lane] = acc[lane];
+    std::memcpy(out + base, acc, n * sizeof(float));
   }
 }
 
-#ifdef ENLD_DISTANCE_X86
+#ifdef ENLD_KERNEL_X86
 /// AVX2 path. Deliberately no FMA (separate _mm256_mul_ps + _mm256_add_ps):
 /// each lane performs the identical fp32 sequence as GenericKernel, so the
 /// two backends agree bitwise and runtime dispatch never changes results.
@@ -65,31 +70,7 @@ __attribute__((target("avx2"))) void Avx2Kernel(const float* soa,
   }
 }
 
-bool Avx2Available() { return __builtin_cpu_supports("avx2") != 0; }
-#else
-bool Avx2Available() { return false; }
 #endif
-
-struct Backend {
-  KernelFn fn;
-  const char* name;
-};
-
-Backend DetectBackend() {
-  const char* env = std::getenv("ENLD_DISTANCE_KERNEL");
-  if (env != nullptr && std::strcmp(env, "generic") == 0) {
-    return {GenericKernel, "generic"};
-  }
-#ifdef ENLD_DISTANCE_X86
-  if (Avx2Available()) return {Avx2Kernel, "avx2"};
-#endif
-  return {GenericKernel, "generic"};
-}
-
-Backend& ActiveBackend() {
-  static Backend backend = DetectBackend();
-  return backend;
-}
 
 }  // namespace
 
@@ -114,31 +95,13 @@ void PackSoaBlock(const float* src, size_t src_cols, const size_t* rows,
 void BatchedSquaredDistances(const float* soa, size_t stride, size_t count,
                              size_t dim, const float* query, float* out) {
   if (count == 0) return;
-  ActiveBackend().fn(soa, stride, count, dim, query, out);
-}
-
-const char* DistanceKernelBackend() { return ActiveBackend().name; }
-
-bool SetDistanceKernelBackend(const char* name) {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "generic") == 0) {
-    ActiveBackend() = {GenericKernel, "generic"};
-    return true;
+#ifdef ENLD_KERNEL_X86
+  if (ActiveKernelIsa() == KernelIsa::kAvx2) {
+    Avx2Kernel(soa, stride, count, dim, query, out);
+    return;
   }
-  if (std::strcmp(name, "avx2") == 0) {
-#ifdef ENLD_DISTANCE_X86
-    if (Avx2Available()) {
-      ActiveBackend() = {Avx2Kernel, "avx2"};
-      return true;
-    }
 #endif
-    return false;
-  }
-  if (std::strcmp(name, "auto") == 0) {
-    ActiveBackend() = DetectBackend();
-    return true;
-  }
-  return false;
+  GenericKernel(soa, stride, count, dim, query, out);
 }
 
 }  // namespace enld

@@ -49,20 +49,9 @@ void PackSoaBlock(const float* src, size_t src_cols, const size_t* rows,
 
 /// Squared distances from `query` (length `dim`) to all `count` points of
 /// an SoA block: `out[i] = SquaredDistance(point_i, query, dim)` bitwise.
-/// Dispatches to the best available backend (see SetDistanceKernelBackend).
+/// Dispatches to the active backend (common/kernel_backend.h).
 void BatchedSquaredDistances(const float* soa, size_t stride, size_t count,
                              size_t dim, const float* query, float* out);
-
-/// Name of the backend the next BatchedSquaredDistances call will use:
-/// "avx2" or "generic".
-const char* DistanceKernelBackend();
-
-/// Forces a backend ("avx2", "generic", or "auto" to re-run detection,
-/// honouring the ENLD_DISTANCE_KERNEL env var). Returns false — leaving
-/// the current backend unchanged — if the request is unknown or the
-/// backend is unavailable on this CPU. Test/bench seam; not thread-safe
-/// against in-flight queries.
-bool SetDistanceKernelBackend(const char* name);
 
 }  // namespace enld
 

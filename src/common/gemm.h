@@ -1,0 +1,31 @@
+#ifndef ENLD_COMMON_GEMM_H_
+#define ENLD_COMMON_GEMM_H_
+
+#include <cstddef>
+
+namespace enld {
+
+/// Register-blocked fp32 GEMM: the one kernel under MatMul, MatMulAt and
+/// MatMulBt (common/matrix.h; docs/ARCHITECTURE.md §6, "GEMM kernel
+/// layer"). Dispatches to the active backend (common/kernel_backend.h).
+///
+/// Computes C = A·B, or C += A·B when `accumulate`, where
+///   - A is m x k, element (i, p) at `a[i * a_row_stride + p * a_k_stride]`
+///     (so a transposed operand is read in place, without a copy);
+///   - B is k x n row-major, row p starting at `b + p * ldb`;
+///   - C is m x n row-major, row i starting at `c + i * ldc`.
+///
+/// Bit contract: each output element is summed from +0 over p in index
+/// order, one fp32 multiply `a(i, p) * b(p, j)` and then one fp32 add per
+/// term (no FMA; this translation unit is built with -ffp-contract=off).
+/// With `accumulate` the finished sum is added once: `c + sum`. That is
+/// the naive triple loop, so every backend, tile shape and tail path gives
+/// the same bits, and row i depends only on row i of A — splitting the
+/// rows over threads or blocks cannot change a result.
+void Gemm(size_t m, size_t n, size_t k, const float* a, size_t a_row_stride,
+          size_t a_k_stride, const float* b, size_t ldb, float* c,
+          size_t ldc, bool accumulate);
+
+}  // namespace enld
+
+#endif  // ENLD_COMMON_GEMM_H_

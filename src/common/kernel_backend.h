@@ -1,0 +1,37 @@
+#ifndef ENLD_COMMON_KERNEL_BACKEND_H_
+#define ENLD_COMMON_KERNEL_BACKEND_H_
+
+#if defined(__x86_64__) || defined(__i386__)
+#define ENLD_KERNEL_X86 1
+#endif
+
+namespace enld {
+
+/// The one runtime switch behind every SIMD kernel family: the batched
+/// distance kernels (common/distance.h) and the GEMM kernel under the
+/// matrix products (common/gemm.h). Every backend of every family is
+/// bitwise identical to its scalar reference, so the switch changes speed
+/// only (docs/ARCHITECTURE.md §6).
+enum class KernelIsa { kGeneric, kAvx2 };
+
+/// Backend the kernels dispatch to. The first call detects it: AVX2 when
+/// the CPU supports it, unless the ENLD_KERNEL env var says "generic".
+KernelIsa ActiveKernelIsa();
+
+/// Name of the active backend: "avx2" or "generic".
+const char* KernelBackend();
+
+/// Forces a backend ("avx2", "generic", or "auto" to re-run detection,
+/// honouring ENLD_KERNEL). Returns false — leaving the current backend
+/// unchanged — if the request is unknown or the backend is unavailable on
+/// this CPU. Test/bench seam; not thread-safe against in-flight kernels.
+bool SetKernelBackend(const char* name);
+
+/// Four floats as one value (GCC/Clang vector extension), the unit of the
+/// generic backends: one SSE or NEON register. Each arithmetic operation
+/// applies lane by lane, so a lane's fp32 sequence is the scalar one.
+typedef float Lanes4 __attribute__((vector_size(4 * sizeof(float))));
+
+}  // namespace enld
+
+#endif  // ENLD_COMMON_KERNEL_BACKEND_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/gemm.h"
 #include "common/parallel.h"
 
 namespace enld {
@@ -23,6 +24,23 @@ size_t RowGrain(size_t row_cost) {
   if (row_cost == 0) row_cost = 1;
   const size_t grain = kChunkWork / row_cost;
   return grain == 0 ? 1 : grain;
+}
+
+/// Runs the GEMM kernel over the m output rows of `out`, split across the
+/// pool for large products. Each row's bits depend only on its own row of
+/// A (common/gemm.h), so the split never changes a result.
+void RowSplitGemm(size_t m, size_t n, size_t k, const float* a,
+                  size_t a_row_stride, size_t a_k_stride, const float* b,
+                  Matrix* out, bool accumulate) {
+  auto rows = [&](size_t lo, size_t hi) {
+    Gemm(hi - lo, n, k, a + lo * a_row_stride, a_row_stride, a_k_stride, b,
+         n, out->data() + lo * n, n, accumulate);
+  };
+  if (m * k * n < kMinParallelWork) {
+    rows(0, m);
+  } else {
+    ParallelFor(0, m, RowGrain(k * n), rows);
+  }
 }
 
 }  // namespace
@@ -109,92 +127,47 @@ float Matrix::RowDistanceSquared(size_t r, const float* v) const {
 
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   ENLD_CHECK_EQ(a.cols(), b.rows());
-  out->Reset(a.rows(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  // i-k-j loop order: streams through b and out rows sequentially, which the
-  // compiler auto-vectorizes well; adequate for the matrix sizes used here.
-  // Output rows are independent, so the row range splits across threads
-  // without changing any per-element accumulation order.
-  auto rows = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const float* arow = a.Row(i);
-      float* orow = out->Row(i);
-      for (size_t kk = 0; kk < k; ++kk) {
-        // No zero-skip fast path: skipping av == 0 would drop 0 * inf and
-        // 0 * nan contributions (silently un-poisoning non-finite inputs)
-        // and puts a branch in the way of vectorizing the j loop.
-        const float av = arow[kk];
-        const float* brow = b.Row(kk);
-        for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  };
-  if (m * k * n < kMinParallelWork) {
-    rows(0, m);
-  } else {
-    ParallelFor(0, m, RowGrain(k * n), rows);
-  }
+  out->Reset(m, n);
+  RowSplitGemm(m, n, k, a.data(), k, 1, b.data(), out, /*accumulate=*/false);
 }
 
 void MatMulBt(const Matrix& a, const Matrix& b, Matrix* out) {
   ENLD_CHECK_EQ(a.cols(), b.cols());
-  out->Reset(a.rows(), b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  auto rows = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const float* arow = a.Row(i);
-      float* orow = out->Row(i);
-      for (size_t j = 0; j < n; ++j) {
-        const float* brow = b.Row(j);
-        float sum = 0.0f;
-        for (size_t kk = 0; kk < k; ++kk) sum += arow[kk] * brow[kk];
-        orow[j] = sum;
-      }
+  out->Reset(m, n);
+  // The kernel reads B row-major, so b^T is packed into this thread's
+  // scratch panel; the pool's workers only read it. Eight rows of b at a
+  // time: the reads walk them in step and each write fills eight
+  // adjacent floats of a panel row.
+  thread_local std::vector<float> panel;
+  panel.resize(k * n);
+  const float* bd = b.data();
+  for (size_t j0 = 0; j0 < n; j0 += 8) {
+    const size_t j1 = std::min(n, j0 + 8);
+    for (size_t p = 0; p < k; ++p) {
+      for (size_t j = j0; j < j1; ++j) panel[p * n + j] = bd[j * k + p];
     }
-  };
-  if (m * k * n < kMinParallelWork) {
-    rows(0, m);
-  } else {
-    ParallelFor(0, m, RowGrain(k * n), rows);
   }
+  RowSplitGemm(m, n, k, a.data(), k, 1, panel.data(), out,
+               /*accumulate=*/false);
 }
 
-void MatMulAt(const Matrix& a, const Matrix& b, Matrix* out) {
+void MatMulAt(const Matrix& a, const Matrix& b, Matrix* out,
+              bool accumulate) {
   ENLD_CHECK_EQ(a.rows(), b.rows());
-  out->Reset(a.cols(), b.cols());
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  if (k * m * n < kMinParallelWork) {
-    // kk-outer order streams a and b; best cache behaviour sequentially.
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.Row(kk);
-      const float* brow = b.Row(kk);
-      for (size_t i = 0; i < m; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) continue;
-        float* orow = out->Row(i);
-        for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-    return;
+  if (accumulate) {
+    ENLD_CHECK_EQ(out->rows(), m);
+    ENLD_CHECK_EQ(out->cols(), n);
+  } else {
+    out->Reset(m, n);
   }
-  // Parallel variant: output rows (columns of a) are independent when i is
-  // the outer loop. For each (i, j) the kk accumulation order is unchanged,
-  // so this is bit-identical to the sequential kk-outer order above.
-  ParallelFor(0, m, RowGrain(k * n), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      float* orow = out->Row(i);
-      for (size_t kk = 0; kk < k; ++kk) {
-        const float av = a(kk, i);
-        if (av == 0.0f) continue;
-        const float* brow = b.Row(kk);
-        for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  });
+  // Row i of a^T is column i of a: element (i, p) sits at a[p * m + i].
+  RowSplitGemm(m, n, k, a.data(), 1, m, b.data(), out, accumulate);
 }
 
-void AddRowBroadcast(Matrix* m, const std::vector<float>& bias) {
-  ENLD_CHECK_EQ(m->cols(), bias.size());
+void AddRowBroadcast(Matrix* m, const float* bias) {
   for (size_t r = 0; r < m->rows(); ++r) {
     float* row = m->Row(r);
     for (size_t c = 0; c < m->cols(); ++c) row[c] += bias[c];

@@ -99,17 +99,25 @@ class Matrix {
   std::vector<float> data_;
 };
 
+/// The three matrix products all run on the GEMM kernel (common/gemm.h)
+/// and share its bit contract: every output element equals the naive
+/// triple loop's fp32 sum, bit for bit, on every kernel backend and at
+/// every thread count.
+
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). `out` is resized.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a * b^T. Shapes: (m x k) * (n x k)^T -> (m x n). `out` is resized.
 void MatMulBt(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a^T * b. Shapes: (k x m)^T * (k x n) -> (m x n). `out` is resized.
-void MatMulAt(const Matrix& a, const Matrix& b, Matrix* out);
+/// out = a^T * b. Shapes: (k x m)^T * (k x n) -> (m x n). `out` is resized;
+/// with `accumulate` it must already be (m x n) and the product is added
+/// to it, with the same bits as a temporary product followed by Add.
+void MatMulAt(const Matrix& a, const Matrix& b, Matrix* out,
+              bool accumulate = false);
 
-/// Adds the `cols()`-length row vector `bias` to every row of `m`.
-void AddRowBroadcast(Matrix* m, const std::vector<float>& bias);
+/// Adds the row vector `bias` (`m->cols()` floats) to every row of `m`.
+void AddRowBroadcast(Matrix* m, const float* bias);
 
 /// Sums the rows of `m` into a `cols()`-length vector.
 std::vector<float> ColumnSums(const Matrix& m);

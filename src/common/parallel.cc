@@ -42,6 +42,10 @@ struct PoolMetrics {
 class ThreadPool {
  public:
   explicit ThreadPool(size_t threads) {
+    // Registers the pool/* counters on this thread, before any worker
+    // runs: registered lazily by a worker, they could appear between two
+    // telemetry snapshots of one process and make identical runs differ.
+    PoolMetrics::Get();
     workers_.reserve(threads);
     for (size_t i = 0; i < threads; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });

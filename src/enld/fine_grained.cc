@@ -233,9 +233,15 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     ENLD_TRACE_SPAN("detect/inference");
     return compute_iprime_view();
   }();
-  Matrix d_features = incremental.empty() ? Matrix()
-                                          : model->Features(incremental.features);
-  std::vector<size_t> ambiguous = AmbiguousPositions(model, incremental);
+  // One forward pass of D gives both its features and its ambiguous set.
+  Matrix d_features;
+  std::vector<size_t> ambiguous;
+  auto forward_incremental = [&] {
+    if (incremental.empty()) return;
+    ambiguous = AmbiguousPositions(
+        model->Predict(incremental.features, &d_features), incremental);
+  };
+  forward_incremental();
 
   std::vector<size_t> contrastive;
   std::vector<int> contrastive_labels;
@@ -337,10 +343,7 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     {
       ENLD_TRACE_SPAN("detect/inference");
       view = compute_iprime_view();
-      if (!incremental.empty()) {
-        d_features = model->Features(incremental.features);
-      }
-      ambiguous = AmbiguousPositions(model, incremental);
+      forward_incremental();
     }
     ambiguous_series->Append(static_cast<double>(ambiguous.size()));
     out.result.per_iteration_ambiguous.push_back(ambiguous.size());

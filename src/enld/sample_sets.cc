@@ -24,9 +24,14 @@ std::vector<size_t> HighQualityPositions(MlpModel* model,
 std::vector<size_t> AmbiguousPositions(MlpModel* model,
                                        const Dataset& dataset) {
   ENLD_CHECK(model != nullptr);
+  if (dataset.empty()) return {};
+  return AmbiguousPositions(model->Predict(dataset.features), dataset);
+}
+
+std::vector<size_t> AmbiguousPositions(const std::vector<int>& predicted,
+                                       const Dataset& dataset) {
+  ENLD_CHECK_EQ(predicted.size(), dataset.size());
   std::vector<size_t> out;
-  if (dataset.empty()) return out;
-  const std::vector<int> predicted = model->Predict(dataset.features);
   for (size_t i = 0; i < dataset.size(); ++i) {
     const int observed = dataset.observed_labels[i];
     if (observed != kMissingLabel && predicted[i] != observed) {

@@ -20,6 +20,11 @@ std::vector<size_t> HighQualityPositions(MlpModel* model,
 std::vector<size_t> AmbiguousPositions(MlpModel* model,
                                        const Dataset& dataset);
 
+/// Positions where `predicted` (argmax M(x, θ) per row of `dataset`,
+/// already computed) != ỹ.
+std::vector<size_t> AmbiguousPositions(const std::vector<int>& predicted,
+                                       const Dataset& dataset);
+
 /// Filters `high_quality` (positions into `dataset`) by the paper's
 /// confidence criterion: keep x only if its predicted-class probability is
 /// at least the mean predicted-class probability over the high-quality

@@ -30,19 +30,17 @@ void LinearLayer::Forward(const Matrix& input, Matrix* output) {
   ENLD_CHECK_EQ(input.cols(), weights_.rows());
   cached_input_ = input;
   MatMul(input, weights_, output);
-  AddRowBroadcast(output, bias_.RowVector(0));
+  AddRowBroadcast(output, bias_.Row(0));
 }
 
 void LinearLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
   ENLD_CHECK_EQ(grad_output.rows(), cached_input_.rows());
   ENLD_CHECK_EQ(grad_output.cols(), weights_.cols());
   // dW += X^T * dY; db += colsum(dY); dX = dY * W^T.
-  Matrix dw;
-  MatMulAt(cached_input_, grad_output, &dw);
-  grad_weights_.Add(dw);
+  MatMulAt(cached_input_, grad_output, &grad_weights_, /*accumulate=*/true);
   const std::vector<float> db = ColumnSums(grad_output);
   for (size_t c = 0; c < db.size(); ++c) grad_bias_(0, c) += db[c];
-  MatMulBt(grad_output, weights_, grad_input);
+  if (grad_input != nullptr) MatMulBt(grad_output, weights_, grad_input);
 }
 
 std::vector<ParamRef> LinearLayer::Params() {
@@ -62,6 +60,7 @@ void ReluLayer::Forward(const Matrix& input, Matrix* output) {
 void ReluLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
   ENLD_CHECK_EQ(grad_output.rows(), cached_input_.rows());
   ENLD_CHECK_EQ(grad_output.cols(), cached_input_.cols());
+  if (grad_input == nullptr) return;
   grad_input->Reset(grad_output.rows(), grad_output.cols());
   const float* go = grad_output.data();
   const float* in = cached_input_.data();
@@ -96,6 +95,7 @@ void DropoutLayer::Forward(const Matrix& input, Matrix* output) {
 }
 
 void DropoutLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
+  if (grad_input == nullptr) return;
   if (mask_.empty()) {  // Inference-mode forward: identity.
     *grad_input = grad_output;
     return;

@@ -28,8 +28,9 @@ class Layer {
   virtual void Forward(const Matrix& input, Matrix* output) = 0;
 
   /// Given d(loss)/d(output), accumulates parameter gradients and computes
-  /// d(loss)/d(input) into `grad_input`. Must follow a Forward call with
-  /// the matching batch.
+  /// d(loss)/d(input) into `grad_input`, or skips it when `grad_input` is
+  /// null (the first layer's input gradient is never used). Must follow a
+  /// Forward call with the matching batch.
   virtual void Backward(const Matrix& grad_output, Matrix* grad_input) = 0;
 
   /// Trainable parameters (empty for stateless layers). Stable order.

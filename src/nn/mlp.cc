@@ -64,9 +64,9 @@ Matrix MlpModel::Features(const Matrix& inputs) {
   return features;
 }
 
-std::vector<int> MlpModel::Predict(const Matrix& inputs) {
+std::vector<int> MlpModel::Predict(const Matrix& inputs, Matrix* features) {
   Matrix logits;
-  Forward(inputs, &logits);
+  Forward(inputs, &logits, features);
   std::vector<int> out(inputs.rows());
   ParallelFor(0, inputs.rows(), 512, [&](size_t lo, size_t hi) {
     for (size_t r = lo; r < hi; ++r) {
@@ -90,10 +90,12 @@ double MlpModel::TrainStep(const Matrix& inputs, const Matrix& soft_targets,
 
   for (auto& layer : layers_) layer->ZeroGrads();
   Matrix grad_in;
-  for (size_t i = layers_.size(); i > 0; --i) {
+  for (size_t i = layers_.size(); i > 1; --i) {
     layers_[i - 1]->Backward(grad, &grad_in);
     std::swap(grad, grad_in);
   }
+  // Nothing consumes the gradient with respect to the inputs.
+  layers_.front()->Backward(grad, /*grad_input=*/nullptr);
   optimizer->Step(Params());
   SetTraining(false);
   return loss;

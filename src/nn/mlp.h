@@ -45,8 +45,9 @@ class MlpModel {
   /// Penultimate-layer features M̂(x, θ) for every input row.
   Matrix Features(const Matrix& inputs);
 
-  /// argmax M(x, θ) per row.
-  std::vector<int> Predict(const Matrix& inputs);
+  /// argmax M(x, θ) per row; from the same forward pass, also the
+  /// penultimate features when `features` is non-null.
+  std::vector<int> Predict(const Matrix& inputs, Matrix* features = nullptr);
 
   /// One optimizer step on a batch against soft targets; returns the batch
   /// loss. Gradients are zeroed, accumulated and applied inside; dropout is

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/kernel_backend.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 
@@ -32,8 +33,8 @@ std::vector<size_t> AllRows(size_t n) {
 /// Restores whatever backend was active before the test.
 class BackendGuard {
  public:
-  BackendGuard() : saved_(DistanceKernelBackend()) {}
-  ~BackendGuard() { SetDistanceKernelBackend(saved_.c_str()); }
+  BackendGuard() : saved_(KernelBackend()) {}
+  ~BackendGuard() { SetKernelBackend(saved_.c_str()); }
 
  private:
   std::string saved_;
@@ -85,8 +86,8 @@ TEST(DistanceTest, BatchedMatchesScalarBitwiseOnAllBackends) {
   BackendGuard guard;
   Rng rng(3);
   for (const char* backend : {"generic", "avx2"}) {
-    if (!SetDistanceKernelBackend(backend)) continue;  // CPU w/o AVX2.
-    ASSERT_STREQ(DistanceKernelBackend(), backend);
+    if (!SetKernelBackend(backend)) continue;  // CPU w/o AVX2.
+    ASSERT_STREQ(KernelBackend(), backend);
     for (size_t count : {1u, 7u, 8u, 9u, 16u, 17u, 100u}) {
       for (size_t dim : {1u, 3u, 8u, 21u}) {
         const Matrix points = RandomPoints(count, dim, rng);
@@ -120,7 +121,7 @@ TEST(DistanceTest, BatchedMatchesScalarBitwiseOnAllBackends) {
 /// machines with and without AVX2.
 TEST(DistanceTest, BackendsAgreeBitwise) {
   BackendGuard guard;
-  if (!SetDistanceKernelBackend("avx2")) {
+  if (!SetKernelBackend("avx2")) {
     GTEST_SKIP() << "AVX2 unavailable on this CPU";
   }
   Rng rng(4);
@@ -136,7 +137,7 @@ TEST(DistanceTest, BackendsAgreeBitwise) {
   std::vector<float> avx2(count), generic(count);
   BatchedSquaredDistances(soa.data(), stride, count, dim, query.data(),
                           avx2.data());
-  ASSERT_TRUE(SetDistanceKernelBackend("generic"));
+  ASSERT_TRUE(SetKernelBackend("generic"));
   BatchedSquaredDistances(soa.data(), stride, count, dim, query.data(),
                           generic.data());
   EXPECT_EQ(std::memcmp(avx2.data(), generic.data(), count * sizeof(float)),
@@ -151,11 +152,11 @@ TEST(DistanceTest, ZeroCountIsANoOp) {
 
 TEST(DistanceTest, UnknownBackendRejected) {
   BackendGuard guard;
-  const std::string before = DistanceKernelBackend();
-  EXPECT_FALSE(SetDistanceKernelBackend("sse9"));
-  EXPECT_FALSE(SetDistanceKernelBackend(nullptr));
-  EXPECT_EQ(before, DistanceKernelBackend());
-  EXPECT_TRUE(SetDistanceKernelBackend("auto"));
+  const std::string before = KernelBackend();
+  EXPECT_FALSE(SetKernelBackend("sse9"));
+  EXPECT_FALSE(SetKernelBackend(nullptr));
+  EXPECT_EQ(before, KernelBackend());
+  EXPECT_TRUE(SetKernelBackend("auto"));
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/kernel_backend.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 
@@ -23,7 +27,9 @@ Matrix RandomMatrix(size_t rows, size_t cols, Rng& rng) {
   return m;
 }
 
-/// Reference O(n^3) multiply used to validate the production kernels.
+/// Reference O(n^3) multiply: the bit contract of the production kernels
+/// (common/gemm.h) — each element summed from +0 over k in index order,
+/// one fp32 multiply and one add per term.
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   for (size_t i = 0; i < a.rows(); ++i) {
@@ -36,12 +42,84 @@ Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-void ExpectMatrixNear(const Matrix& a, const Matrix& b, float tol = 1e-4f) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  for (size_t r = 0; r < a.rows(); ++r) {
-    for (size_t c = 0; c < a.cols(); ++c) {
-      EXPECT_NEAR(a(r, c), b(r, c), tol) << "at (" << r << "," << c << ")";
+/// Bitwise equality, so +0/-0 and NaN payloads count as differences.
+::testing::AssertionResult BitEqual(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows() << "x" << got.cols() << " vs "
+           << want.rows() << "x" << want.cols();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    uint32_t g, w;
+    std::memcpy(&g, &got.data()[i], sizeof(g));
+    std::memcpy(&w, &want.data()[i], sizeof(w));
+    if (g != w) {
+      return ::testing::AssertionFailure()
+             << "at (" << i / got.cols() << "," << i % got.cols()
+             << "): " << got.data()[i] << " vs " << want.data()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The three product entry points, each fed a * b in the operand layout
+/// it takes: MatMulAt gets a^T, MatMulBt gets b^T.
+enum class Product { kMatMul, kMatMulAt, kMatMulBt };
+constexpr Product kProducts[] = {Product::kMatMul, Product::kMatMulAt,
+                                 Product::kMatMulBt};
+
+const char* ProductName(Product product) {
+  switch (product) {
+    case Product::kMatMul:
+      return "MatMul";
+    case Product::kMatMulAt:
+      return "MatMulAt";
+    case Product::kMatMulBt:
+      return "MatMulBt";
+  }
+  return "?";
+}
+
+/// Computes a * b through `product`.
+Matrix Multiply(Product product, const Matrix& a, const Matrix& b) {
+  Matrix out;
+  switch (product) {
+    case Product::kMatMul:
+      MatMul(a, b, &out);
+      break;
+    case Product::kMatMulAt:
+      MatMulAt(a.Transposed(), b, &out);
+      break;
+    case Product::kMatMulBt:
+      MatMulBt(a, b.Transposed(), &out);
+      break;
+  }
+  return out;
+}
+
+/// Restores the kernel backend and the pool size a test changed.
+class KernelStateGuard {
+ public:
+  KernelStateGuard() : backend_(KernelBackend()) {}
+  ~KernelStateGuard() {
+    SetKernelBackend(backend_.c_str());
+    SetParallelThreads(0);
+  }
+
+ private:
+  std::string backend_;
+};
+
+/// Runs `body` once per available kernel backend (avx2 is skipped on CPUs
+/// without it) at 1 and at 4 threads.
+template <typename Body>
+void ForEachBackendAndThreads(Body body) {
+  KernelStateGuard guard;
+  for (const char* backend : {"generic", "avx2"}) {
+    if (!SetKernelBackend(backend)) continue;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SetParallelThreads(threads);
+      body(std::string(backend) + " threads=" + std::to_string(threads));
     }
   }
 }
@@ -141,7 +219,7 @@ TEST(MatMulTest, MatchesNaiveReference) {
     const Matrix b = RandomMatrix(k, n, rng);
     Matrix out;
     MatMul(a, b, &out);
-    ExpectMatrixNear(out, NaiveMatMul(a, b));
+    EXPECT_TRUE(BitEqual(out, NaiveMatMul(a, b)));
   }
 }
 
@@ -151,7 +229,7 @@ TEST(MatMulTest, BtMatchesExplicitTranspose) {
   const Matrix b = RandomMatrix(5, 6, rng);
   Matrix out;
   MatMulBt(a, b, &out);
-  ExpectMatrixNear(out, NaiveMatMul(a, b.Transposed()));
+  EXPECT_TRUE(BitEqual(out, NaiveMatMul(a, b.Transposed())));
 }
 
 TEST(MatMulTest, AtMatchesExplicitTranspose) {
@@ -160,7 +238,7 @@ TEST(MatMulTest, AtMatchesExplicitTranspose) {
   const Matrix b = RandomMatrix(6, 5, rng);
   Matrix out;
   MatMulAt(a, b, &out);
-  ExpectMatrixNear(out, NaiveMatMul(a.Transposed(), b));
+  EXPECT_TRUE(BitEqual(out, NaiveMatMul(a.Transposed(), b)));
 }
 
 TEST(MatMulTest, IdentityIsNeutral) {
@@ -170,7 +248,83 @@ TEST(MatMulTest, IdentityIsNeutral) {
   for (size_t i = 0; i < 3; ++i) eye(i, i) = 1.0f;
   Matrix out;
   MatMul(a, eye, &out);
-  ExpectMatrixNear(out, a);
+  EXPECT_TRUE(BitEqual(out, a));
+}
+
+/// Every backend of every product equals the naive loop bit for bit, at 1
+/// and 4 threads, over shapes that leave a tail in every dimension: rows
+/// around the 4-row tile, columns around the 8- and 16-lane vectors.
+TEST(MatMulTest, AllBackendsMatchNaiveBitwise) {
+  Rng rng(8);
+  std::vector<std::pair<Matrix, Matrix>> operands;
+  std::vector<Matrix> want;
+  for (size_t m : {1u, 3u, 4u, 5u, 63u, 64u, 65u}) {
+    for (size_t n : {1u, 7u, 8u, 9u, 100u, 128u}) {
+      for (size_t k : {1u, 32u, 64u, 128u}) {
+        operands.emplace_back(RandomMatrix(m, k, rng), RandomMatrix(k, n, rng));
+        want.push_back(NaiveMatMul(operands.back().first,
+                                   operands.back().second));
+      }
+    }
+  }
+  ForEachBackendAndThreads([&](const std::string& where) {
+    for (size_t s = 0; s < operands.size(); ++s) {
+      const auto& [a, b] = operands[s];
+      for (Product product : kProducts) {
+        EXPECT_TRUE(BitEqual(Multiply(product, a, b), want[s]))
+            << ProductName(product) << " " << where << " m=" << a.rows()
+            << " k=" << a.cols() << " n=" << b.cols();
+      }
+    }
+  });
+}
+
+/// With k = 0 every element is the empty sum, +0.
+TEST(MatMulTest, EmptyInnerDimensionGivesZeros) {
+  const Matrix a(3, 0);
+  const Matrix b(0, 5);
+  ForEachBackendAndThreads([&](const std::string& where) {
+    for (Product product : kProducts) {
+      EXPECT_TRUE(BitEqual(Multiply(product, a, b), Matrix(3, 5)))
+          << ProductName(product) << " " << where;
+    }
+  });
+}
+
+/// `out += a^T * b` has the bits of a temporary product added with Add.
+TEST(MatMulTest, AccumulateEqualsTemporaryPlusAdd) {
+  Rng rng(9);
+  const Matrix a = RandomMatrix(64, 65, rng);
+  const Matrix b = RandomMatrix(64, 100, rng);
+  const Matrix base = RandomMatrix(65, 100, rng);
+  ForEachBackendAndThreads([&](const std::string& where) {
+    Matrix product;
+    MatMulAt(a, b, &product);
+    Matrix want = base;
+    want.Add(product);
+    Matrix got = base;
+    MatMulAt(a, b, &got, /*accumulate=*/true);
+    EXPECT_TRUE(BitEqual(got, want)) << where;
+  });
+}
+
+/// Row i of a product depends only on row i of a: it equals the 1-row
+/// product of that row, whichever tile or thread computed it. The
+/// FeatureCache's row selection relies on this.
+TEST(MatMulTest, RowEqualsOneRowProduct) {
+  Rng rng(10);
+  const Matrix a = RandomMatrix(65, 64, rng);
+  const Matrix b = RandomMatrix(64, 100, rng);
+  ForEachBackendAndThreads([&](const std::string& where) {
+    for (Product product : kProducts) {
+      const Matrix full = Multiply(product, a, b);
+      for (size_t i = 0; i < a.rows(); ++i) {
+        const Matrix row = Multiply(product, a.SelectRows({i}), b);
+        ASSERT_TRUE(BitEqual(row, full.SelectRows({i})))
+            << ProductName(product) << " " << where << " row " << i;
+      }
+    }
+  });
 }
 
 // Regression for the zero-skip fast path: `if (av == 0.0f) continue;`
@@ -182,12 +336,16 @@ TEST(MatMulTest, ZeroTimesNonFinitePropagates) {
   Matrix b(2, 2, 1.0f);
   b(1, 0) = std::numeric_limits<float>::infinity();
   b(1, 1) = std::numeric_limits<float>::quiet_NaN();
-  Matrix out;
-  MatMul(a, b, &out);
-  EXPECT_TRUE(std::isnan(out(0, 0)));  // 1*1 + 0*inf.
-  EXPECT_TRUE(std::isnan(out(0, 1)));  // 1*1 + 0*nan.
-  EXPECT_TRUE(std::isinf(out(1, 0)));  // 1*1 + 1*inf.
-  EXPECT_TRUE(std::isnan(out(1, 1)));  // 1*1 + 1*nan.
+  ForEachBackendAndThreads([&](const std::string& where) {
+    for (Product product : kProducts) {
+      const Matrix out = Multiply(product, a, b);
+      SCOPED_TRACE(std::string(ProductName(product)) + " " + where);
+      EXPECT_TRUE(std::isnan(out(0, 0)));  // 1*1 + 0*inf.
+      EXPECT_TRUE(std::isnan(out(0, 1)));  // 1*1 + 0*nan.
+      EXPECT_TRUE(std::isinf(out(1, 0)));  // 1*1 + 1*inf.
+      EXPECT_TRUE(std::isnan(out(1, 1)));  // 1*1 + 1*nan.
+    }
+  });
 }
 
 TEST(MatMulTest, NonFinitePropagatesIdenticallyInParallelPath) {
@@ -202,30 +360,26 @@ TEST(MatMulTest, NonFinitePropagatesIdenticallyInParallelPath) {
   a(60, 9) = 0.0f;
   b(5, 0) = std::numeric_limits<float>::infinity();
   b(9, 2) = std::numeric_limits<float>::quiet_NaN();
-  Matrix seq;
-  SetParallelThreads(1);
-  MatMul(a, b, &seq);
-  SetParallelThreads(4);
-  Matrix par;
-  MatMul(a, b, &par);
-  SetParallelThreads(0);
-  EXPECT_TRUE(std::isnan(seq(3, 0)));   // includes the 0 * inf term.
-  EXPECT_TRUE(std::isnan(seq(60, 2)));  // includes the 0 * nan term.
-  ASSERT_EQ(seq.rows(), par.rows());
-  ASSERT_EQ(seq.cols(), par.cols());
-  for (size_t r = 0; r < seq.rows(); ++r) {
-    for (size_t c = 0; c < seq.cols(); ++c) {
-      uint32_t sbits, pbits;
-      std::memcpy(&sbits, &seq(r, c), sizeof(sbits));
-      std::memcpy(&pbits, &par(r, c), sizeof(pbits));
-      EXPECT_EQ(sbits, pbits) << "at (" << r << "," << c << ")";
+  KernelStateGuard guard;
+  for (const char* backend : {"generic", "avx2"}) {
+    if (!SetKernelBackend(backend)) continue;
+    for (Product product : kProducts) {
+      SCOPED_TRACE(std::string(ProductName(product)) + " " + backend);
+      SetParallelThreads(1);
+      const Matrix seq = Multiply(product, a, b);
+      SetParallelThreads(4);
+      const Matrix par = Multiply(product, a, b);
+      EXPECT_TRUE(std::isnan(seq(3, 0)));   // includes the 0 * inf term.
+      EXPECT_TRUE(std::isnan(seq(60, 2)));  // includes the 0 * nan term.
+      EXPECT_TRUE(BitEqual(par, seq));
     }
   }
 }
 
 TEST(MatrixOpsTest, AddRowBroadcast) {
   Matrix m(2, 3, 1.0f);
-  AddRowBroadcast(&m, {1.0f, 2.0f, 3.0f});
+  const float bias[3] = {1.0f, 2.0f, 3.0f};
+  AddRowBroadcast(&m, bias);
   EXPECT_EQ(m(0, 0), 2.0f);
   EXPECT_EQ(m(1, 2), 4.0f);
 }

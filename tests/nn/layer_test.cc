@@ -1,6 +1,7 @@
 #include "nn/layer.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -186,6 +187,34 @@ TEST(LayerTest, BackwardAccumulatesAcrossCalls) {
   layer.Forward(input, &output);
   layer.Backward(grad_out, &grad_in);
   EXPECT_FLOAT_EQ(layer.Params()[0].grad->At(0, 0), 2.0f * once);
+}
+
+/// A null `grad_input` skips the input gradient only: the parameter
+/// gradients are the same bits as with it.
+TEST(LayerTest, BackwardWithoutInputGradientKeepsParamGrads) {
+  Rng rng(6);
+  LinearLayer with(5, 3, rng);
+  Rng same(6);
+  LinearLayer without(5, 3, same);
+  const Matrix input = RandomMatrix(4, 5, rng);
+  const Matrix grad_out = RandomMatrix(4, 3, rng);
+  Matrix output, grad_in;
+  with.ZeroGrads();
+  with.Forward(input, &output);
+  with.Backward(grad_out, &grad_in);
+  without.ZeroGrads();
+  without.Forward(input, &output);
+  without.Backward(grad_out, /*grad_input=*/nullptr);
+  const auto expected = with.Params();
+  const auto got = without.Params();
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t p = 0; p < got.size(); ++p) {
+    ASSERT_EQ(got[p].grad->size(), expected[p].grad->size());
+    EXPECT_EQ(std::memcmp(got[p].grad->data(), expected[p].grad->data(),
+                          got[p].grad->size() * sizeof(float)),
+              0)
+        << "param " << p;
+  }
 }
 
 }  // namespace
