@@ -208,12 +208,15 @@ void BM_MatMulBt(benchmark::State& state, const char* backend) {
 
 BENCHMARK_CAPTURE(BM_MatMul, generic, "generic")->Apply(ForwardShapes);
 BENCHMARK_CAPTURE(BM_MatMul, avx2, "avx2")->Apply(ForwardShapes);
+BENCHMARK_CAPTURE(BM_MatMul, avx512, "avx512")->Apply(ForwardShapes);
 BENCHMARK_CAPTURE(BM_MatMul, auto, "auto")->Apply(ForwardShapes);
 BENCHMARK_CAPTURE(BM_MatMulAt, generic, "generic")->Apply(WeightGradShapes);
 BENCHMARK_CAPTURE(BM_MatMulAt, avx2, "avx2")->Apply(WeightGradShapes);
+BENCHMARK_CAPTURE(BM_MatMulAt, avx512, "avx512")->Apply(WeightGradShapes);
 BENCHMARK_CAPTURE(BM_MatMulAt, auto, "auto")->Apply(WeightGradShapes);
 BENCHMARK_CAPTURE(BM_MatMulBt, generic, "generic")->Apply(InputGradShapes);
 BENCHMARK_CAPTURE(BM_MatMulBt, avx2, "avx2")->Apply(InputGradShapes);
+BENCHMARK_CAPTURE(BM_MatMulBt, avx512, "avx512")->Apply(InputGradShapes);
 BENCHMARK_CAPTURE(BM_MatMulBt, auto, "auto")->Apply(InputGradShapes);
 
 /// One SGD step of the fine-tune MLP on a batch of 64: forward, backward

@@ -165,7 +165,7 @@ double PrintDistanceKernelTable() {
   table.AddRow({"scalar_loop", TablePrinter::Num(scalar_seconds, 4),
                 TablePrinter::Num(1.0, 2)});
   double dispatched_speedup = 0.0;
-  for (const char* backend : {"generic", "avx2"}) {
+  for (const char* backend : {"generic", "avx2", "avx512"}) {
     if (!SetKernelBackend(backend)) continue;
     Stopwatch watch;
     for (int rep = 0; rep < kReps; ++rep) {

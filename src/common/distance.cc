@@ -96,7 +96,7 @@ void BatchedSquaredDistances(const float* soa, size_t stride, size_t count,
                              size_t dim, const float* query, float* out) {
   if (count == 0) return;
 #ifdef ENLD_KERNEL_X86
-  if (ActiveKernelIsa() == KernelIsa::kAvx2) {
+  if (ActiveKernelIsa() != KernelIsa::kGeneric) {  // avx512 runs AVX2 here.
     Avx2Kernel(soa, stride, count, dim, query, out);
     return;
   }

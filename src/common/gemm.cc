@@ -12,13 +12,14 @@ namespace enld {
 
 namespace {
 
-/// Output rows per register tile. The AVX2 tile is 4 rows x 16 columns:
-/// 8 independent accumulators, enough add chains in flight to hide the
-/// add latency without FMA, plus two B vectors and a broadcast of A.
-/// The tiles unroll every loop over rows and vectors (`#pragma GCC
-/// unroll`) so the accumulator arrays live in registers at -O2 as well as
-/// -O3; left rolled, GCC keeps them on the stack.
-constexpr size_t kTileRows = 4;
+/// Every tile is kGemmTileRows (4) rows x two vectors: the AVX2 tile 4 x
+/// 16 columns, the AVX-512 tile 4 x 32. That is 8 independent
+/// accumulators, enough add chains in flight to hide the add latency
+/// without FMA, plus two B vectors and a broadcast of A. The tiles unroll
+/// every loop over rows and vectors (`#pragma GCC unroll`) so the
+/// accumulator arrays live in registers at -O2 as well as -O3; left
+/// rolled, GCC keeps them on the stack.
+constexpr size_t kTileRows = kGemmTileRows;
 constexpr size_t kLanes = 8;
 
 struct GemmArgs {
@@ -189,6 +190,91 @@ __attribute__((target("avx2"))) void Avx2RowTile(const GemmArgs& g,
 
 constexpr RowTileFn kAvx2Tiles[kTileRows + 1] = {
     nullptr, Avx2RowTile<1>, Avx2RowTile<2>, Avx2RowTile<3>, Avx2RowTile<4>};
+
+constexpr size_t kLanes512 = 16;
+
+/// AVX-512 backend: the AVX2 tile at twice the width, kRows x kVecs
+/// 16-float vectors from _mm512_mul_ps and _mm512_add_ps (no FMA). With
+/// kMaskLast the last vector covers only the lanes set in `mask`; masked
+/// loads and stores never touch memory past the row end.
+template <size_t kRows, size_t kVecs, bool kMaskLast>
+__attribute__((target("avx512f"))) void Avx512Tile(const GemmArgs& g,
+                                                   size_t i0, size_t j0,
+                                                   __mmask16 mask) {
+  __m512 acc[kRows][kVecs];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (size_t v = 0; v < kVecs; ++v) acc[r][v] = _mm512_setzero_ps();
+  }
+  const float* a = g.a + i0 * g.a_row_stride;
+  const float* b = g.b + j0;
+  for (size_t p = 0; p < g.k; ++p) {
+    __m512 bv[kVecs];
+#pragma GCC unroll 2
+    for (size_t v = 0; v < kVecs; ++v) {
+      bv[v] = kMaskLast && v + 1 == kVecs
+                  ? _mm512_maskz_loadu_ps(mask, b + v * kLanes512)
+                  : _mm512_loadu_ps(b + v * kLanes512);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < kRows; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * g.a_row_stride]);
+#pragma GCC unroll 2
+      for (size_t v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(av, bv[v]));
+      }
+    }
+    a += g.a_k_stride;
+    b += g.ldb;
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < kRows; ++r) {
+    float* c = g.c + (i0 + r) * g.ldc + j0;
+#pragma GCC unroll 2
+    for (size_t v = 0; v < kVecs; ++v) {
+      float* cv = c + v * kLanes512;
+      __m512 out = acc[r][v];
+      if (kMaskLast && v + 1 == kVecs) {
+        if (g.accumulate) {
+          out = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cv), out);
+        }
+        _mm512_mask_storeu_ps(cv, mask, out);
+      } else {
+        if (g.accumulate) out = _mm512_add_ps(_mm512_loadu_ps(cv), out);
+        _mm512_storeu_ps(cv, out);
+      }
+    }
+  }
+}
+
+/// Mask selecting the first `lanes` (1..16) floats of a vector.
+__mmask16 LeadingLanes512(size_t lanes) {
+  return static_cast<__mmask16>((1u << lanes) - 1);
+}
+
+template <size_t kRows>
+__attribute__((target("avx512f"))) void Avx512RowTile(const GemmArgs& g,
+                                                      size_t i0, size_t n) {
+  const __mmask16 all = LeadingLanes512(kLanes512);
+  size_t j = 0;
+  for (; j + 2 * kLanes512 <= n; j += 2 * kLanes512) {
+    Avx512Tile<kRows, 2, false>(g, i0, j, all);
+  }
+  const size_t rest = n - j;
+  if (rest == 0) return;
+  if (rest < kLanes512) {
+    Avx512Tile<kRows, 1, true>(g, i0, j, LeadingLanes512(rest));
+  } else if (rest == kLanes512) {
+    Avx512Tile<kRows, 1, false>(g, i0, j, all);
+  } else {
+    Avx512Tile<kRows, 2, true>(g, i0, j, LeadingLanes512(rest - kLanes512));
+  }
+}
+
+constexpr RowTileFn kAvx512Tiles[kTileRows + 1] = {
+    nullptr, Avx512RowTile<1>, Avx512RowTile<2>, Avx512RowTile<3>,
+    Avx512RowTile<4>};
 #endif
 
 }  // namespace
@@ -207,9 +293,15 @@ void Gemm(size_t m, size_t n, size_t k, const float* a, size_t a_row_stride,
   const GemmArgs g{a, a_row_stride, a_k_stride, b, ldb, c, ldc, k,
                    accumulate};
 #ifdef ENLD_KERNEL_X86
-  if (ActiveKernelIsa() == KernelIsa::kAvx2) {
-    RunTiles(g, m, n, kAvx2Tiles);
-    return;
+  switch (ActiveKernelIsa()) {
+    case KernelIsa::kAvx512:
+      RunTiles(g, m, n, kAvx512Tiles);
+      return;
+    case KernelIsa::kAvx2:
+      RunTiles(g, m, n, kAvx2Tiles);
+      return;
+    case KernelIsa::kGeneric:
+      break;
   }
 #endif
   RunTiles(g, m, n, kGenericTiles);

@@ -5,6 +5,11 @@
 
 namespace enld {
 
+/// Output rows per register tile, on every backend. A call whose row count
+/// is a multiple of this runs full tiles only; otherwise its last tile is
+/// short.
+inline constexpr size_t kGemmTileRows = 4;
+
 /// Register-blocked fp32 GEMM: the one kernel under MatMul, MatMulAt and
 /// MatMulBt (common/matrix.h; docs/ARCHITECTURE.md §6, "GEMM kernel
 /// layer"). Dispatches to the active backend (common/kernel_backend.h).

@@ -7,20 +7,45 @@ namespace enld {
 
 namespace {
 
-bool Avx2Available() {
+constexpr struct {
+  const char* name;
+  KernelIsa isa;
+} kBackends[] = {{"generic", KernelIsa::kGeneric},
+                 {"avx2", KernelIsa::kAvx2},
+                 {"avx512", KernelIsa::kAvx512}};
+
+/// The backend called `name`, or null for "auto" and unknown names.
+const KernelIsa* FindBackend(const char* name) {
+  for (const auto& backend : kBackends) {
+    if (std::strcmp(name, backend.name) == 0) return &backend.isa;
+  }
+  return nullptr;
+}
+
+bool Available(KernelIsa isa) {
 #ifdef ENLD_KERNEL_X86
-  return __builtin_cpu_supports("avx2") != 0;
-#else
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  switch (isa) {
+    case KernelIsa::kGeneric:
+      return true;
+    case KernelIsa::kAvx2:
+      return avx2;
+    case KernelIsa::kAvx512:  // Its distance kernels are the AVX2 ones.
+      return avx2 && __builtin_cpu_supports("avx512f") != 0;
+  }
   return false;
+#else
+  return isa == KernelIsa::kGeneric;
 #endif
 }
 
 KernelIsa DetectIsa() {
   const char* env = std::getenv("ENLD_KERNEL");
-  if (env != nullptr && std::strcmp(env, "generic") == 0) {
-    return KernelIsa::kGeneric;
-  }
-  return Avx2Available() ? KernelIsa::kAvx2 : KernelIsa::kGeneric;
+  const KernelIsa* forced = env == nullptr ? nullptr : FindBackend(env);
+  if (forced != nullptr && Available(*forced)) return *forced;
+  if (Available(KernelIsa::kAvx512)) return KernelIsa::kAvx512;
+  if (Available(KernelIsa::kAvx2)) return KernelIsa::kAvx2;
+  return KernelIsa::kGeneric;
 }
 
 KernelIsa& Active() {
@@ -33,25 +58,22 @@ KernelIsa& Active() {
 KernelIsa ActiveKernelIsa() { return Active(); }
 
 const char* KernelBackend() {
-  return Active() == KernelIsa::kAvx2 ? "avx2" : "generic";
+  for (const auto& backend : kBackends) {
+    if (backend.isa == Active()) return backend.name;
+  }
+  return "generic";
 }
 
 bool SetKernelBackend(const char* name) {
   if (name == nullptr) return false;
-  if (std::strcmp(name, "generic") == 0) {
-    Active() = KernelIsa::kGeneric;
-    return true;
-  }
-  if (std::strcmp(name, "avx2") == 0) {
-    if (!Avx2Available()) return false;
-    Active() = KernelIsa::kAvx2;
-    return true;
-  }
   if (std::strcmp(name, "auto") == 0) {
     Active() = DetectIsa();
     return true;
   }
-  return false;
+  const KernelIsa* isa = FindBackend(name);
+  if (isa == nullptr || !Available(*isa)) return false;
+  Active() = *isa;
+  return true;
 }
 
 }  // namespace enld

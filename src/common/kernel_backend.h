@@ -11,20 +11,23 @@ namespace enld {
 /// distance kernels (common/distance.h) and the GEMM kernel under the
 /// matrix products (common/gemm.h). Every backend of every family is
 /// bitwise identical to its scalar reference, so the switch changes speed
-/// only (docs/ARCHITECTURE.md §6).
-enum class KernelIsa { kGeneric, kAvx2 };
+/// only (docs/ARCHITECTURE.md §6). The distance kernels have no AVX-512
+/// path: under kAvx512 they run their AVX2 one.
+enum class KernelIsa { kGeneric, kAvx2, kAvx512 };
 
-/// Backend the kernels dispatch to. The first call detects it: AVX2 when
-/// the CPU supports it, unless the ENLD_KERNEL env var says "generic".
+/// Backend the kernels dispatch to. The first call detects it: the
+/// ENLD_KERNEL env var's backend ("generic", "avx2" or "avx512") when this
+/// CPU has it, else the widest the CPU supports (AVX-512, AVX2, generic).
 KernelIsa ActiveKernelIsa();
 
-/// Name of the active backend: "avx2" or "generic".
+/// Name of the active backend: "generic", "avx2" or "avx512".
 const char* KernelBackend();
 
-/// Forces a backend ("avx2", "generic", or "auto" to re-run detection,
-/// honouring ENLD_KERNEL). Returns false — leaving the current backend
-/// unchanged — if the request is unknown or the backend is unavailable on
-/// this CPU. Test/bench seam; not thread-safe against in-flight kernels.
+/// Forces a backend ("generic", "avx2", "avx512", or "auto" to re-run
+/// detection, honouring ENLD_KERNEL). Returns false — leaving the current
+/// backend unchanged — if the request is unknown or the backend is
+/// unavailable on this CPU. Test/bench seam; not thread-safe against
+/// in-flight kernels.
 bool SetKernelBackend(const char* name);
 
 /// Four floats as one value (GCC/Clang vector extension), the unit of the

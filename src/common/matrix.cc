@@ -28,7 +28,8 @@ size_t RowGrain(size_t row_cost) {
 
 /// Runs the GEMM kernel over the m output rows of `out`, split across the
 /// pool for large products. Each row's bits depend only on its own row of
-/// A (common/gemm.h), so the split never changes a result.
+/// A (common/gemm.h), so the split never changes a result. Chunks are
+/// whole register tiles, so only the last chunk can end in a short tile.
 void RowSplitGemm(size_t m, size_t n, size_t k, const float* a,
                   size_t a_row_stride, size_t a_k_stride, const float* b,
                   Matrix* out, bool accumulate) {
@@ -39,7 +40,9 @@ void RowSplitGemm(size_t m, size_t n, size_t k, const float* a,
   if (m * k * n < kMinParallelWork) {
     rows(0, m);
   } else {
-    ParallelFor(0, m, RowGrain(k * n), rows);
+    const size_t tiles =
+        (RowGrain(k * n) + kGemmTileRows - 1) / kGemmTileRows;
+    ParallelFor(0, m, tiles * kGemmTileRows, rows);
   }
 }
 

@@ -10,8 +10,9 @@ void Layer::ZeroGrads() {
   for (ParamRef p : Params()) p.grad->Fill(0.0f);
 }
 
-LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng& rng)
-    : weights_(in_dim, out_dim),
+LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng& rng, bool relu)
+    : relu_(relu),
+      weights_(in_dim, out_dim),
       bias_(1, out_dim, 0.0f),
       grad_weights_(in_dim, out_dim),
       grad_bias_(1, out_dim) {
@@ -28,46 +29,53 @@ LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng& rng)
 
 void LinearLayer::Forward(const Matrix& input, Matrix* output) {
   ENLD_CHECK_EQ(input.cols(), weights_.rows());
-  cached_input_ = input;
   MatMul(input, weights_, output);
-  AddRowBroadcast(output, bias_.Row(0));
+  if (!relu_) {
+    AddRowBroadcast(output, bias_.Row(0));
+    return;
+  }
+  // z = sum + bias, then z > 0 ? z : 0, in one pass over the product.
+  const float* bias = bias_.Row(0);
+  for (size_t r = 0; r < output->rows(); ++r) {
+    float* row = output->Row(r);
+    for (size_t c = 0; c < output->cols(); ++c) {
+      const float z = row[c] + bias[c];
+      row[c] = z > 0.0f ? z : 0.0f;
+    }
+  }
 }
 
-void LinearLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
-  ENLD_CHECK_EQ(grad_output.rows(), cached_input_.rows());
+void LinearLayer::Backward(const Matrix& input, const Matrix& output,
+                           const Matrix& grad_output, Matrix* grad_input) {
+  ENLD_CHECK_EQ(input.cols(), weights_.rows());
+  ENLD_CHECK_EQ(grad_output.rows(), input.rows());
   ENLD_CHECK_EQ(grad_output.cols(), weights_.cols());
-  // dW += X^T * dY; db += colsum(dY); dX = dY * W^T.
-  MatMulAt(cached_input_, grad_output, &grad_weights_, /*accumulate=*/true);
-  const std::vector<float> db = ColumnSums(grad_output);
+  const Matrix* grad_z = &grad_output;
+  if (relu_) {
+    // dZ = dY where z > 0, else 0. The output is > 0 at exactly those
+    // elements (a NaN or -0 z gave +0), and reading go[i] unconditionally
+    // lets the loop vectorize as a compare and a blend.
+    ENLD_CHECK_EQ(output.rows(), grad_output.rows());
+    ENLD_CHECK_EQ(output.cols(), grad_output.cols());
+    masked_grad_.Reset(grad_output.rows(), grad_output.cols());
+    const float* go = grad_output.data();
+    const float* out = output.data();
+    float* gz = masked_grad_.data();
+    for (size_t i = 0; i < grad_output.size(); ++i) {
+      const float g = go[i];
+      gz[i] = out[i] > 0.0f ? g : 0.0f;
+    }
+    grad_z = &masked_grad_;
+  }
+  // dW += X^T * dZ; db += colsum(dZ); dX = dZ * W^T.
+  MatMulAt(input, *grad_z, &grad_weights_, /*accumulate=*/true);
+  const std::vector<float> db = ColumnSums(*grad_z);
   for (size_t c = 0; c < db.size(); ++c) grad_bias_(0, c) += db[c];
-  if (grad_input != nullptr) MatMulBt(grad_output, weights_, grad_input);
+  if (grad_input != nullptr) MatMulBt(*grad_z, weights_, grad_input);
 }
 
 std::vector<ParamRef> LinearLayer::Params() {
   return {{&weights_, &grad_weights_}, {&bias_, &grad_bias_}};
-}
-
-void ReluLayer::Forward(const Matrix& input, Matrix* output) {
-  cached_input_ = input;
-  output->Reset(input.rows(), input.cols());
-  const float* in = input.data();
-  float* out = output->data();
-  for (size_t i = 0; i < input.size(); ++i) {
-    out[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
-}
-
-void ReluLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
-  ENLD_CHECK_EQ(grad_output.rows(), cached_input_.rows());
-  ENLD_CHECK_EQ(grad_output.cols(), cached_input_.cols());
-  if (grad_input == nullptr) return;
-  grad_input->Reset(grad_output.rows(), grad_output.cols());
-  const float* go = grad_output.data();
-  const float* in = cached_input_.data();
-  float* gi = grad_input->data();
-  for (size_t i = 0; i < grad_output.size(); ++i) {
-    gi[i] = in[i] > 0.0f ? go[i] : 0.0f;
-  }
 }
 
 DropoutLayer::DropoutLayer(double rate, uint64_t seed)
@@ -94,7 +102,8 @@ void DropoutLayer::Forward(const Matrix& input, Matrix* output) {
   }
 }
 
-void DropoutLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void DropoutLayer::Backward(const Matrix& /*input*/, const Matrix& /*output*/,
+                            const Matrix& grad_output, Matrix* grad_input) {
   if (grad_input == nullptr) return;
   if (mask_.empty()) {  // Inference-mode forward: identity.
     *grad_input = grad_output;

@@ -15,23 +15,23 @@ struct ParamRef {
   Matrix* grad;
 };
 
-/// One differentiable layer of the minibatch network substrate. Layers are
-/// stateful across a Forward/Backward pair (they cache what the backward
-/// pass needs), which keeps the training loop allocation-free in steady
-/// state.
+/// One differentiable layer of the minibatch network substrate. Layers
+/// keep no activations: the caller holds each Forward's input and output
+/// (MlpModel's activation tape) and hands them back to Backward. Only
+/// dropout keeps per-batch state, its mask.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes `output` from `input` (batch rows). Caches activations needed
-  /// by Backward.
+  /// Computes `output` from `input` (batch rows).
   virtual void Forward(const Matrix& input, Matrix* output) = 0;
 
-  /// Given d(loss)/d(output), accumulates parameter gradients and computes
+  /// Given the `input` and `output` of the matching Forward call and
+  /// d(loss)/d(output), accumulates parameter gradients and computes
   /// d(loss)/d(input) into `grad_input`, or skips it when `grad_input` is
-  /// null (the first layer's input gradient is never used). Must follow a
-  /// Forward call with the matching batch.
-  virtual void Backward(const Matrix& grad_output, Matrix* grad_input) = 0;
+  /// null (the first layer's input gradient is never used).
+  virtual void Backward(const Matrix& input, const Matrix& output,
+                        const Matrix& grad_output, Matrix* grad_input) = 0;
 
   /// Trainable parameters (empty for stateless layers). Stable order.
   virtual std::vector<ParamRef> Params() { return {}; }
@@ -44,35 +44,28 @@ class Layer {
   void ZeroGrads();
 };
 
-/// Fully connected layer: output = input * W + b.
+/// Fully connected layer: output = input * W + b, or with `relu`
+/// max(input * W + b, 0) — Linear+ReLU in one pass over the product.
 /// W is (in x out); b is (1 x out). He-normal initialization.
 class LinearLayer : public Layer {
  public:
-  LinearLayer(size_t in_dim, size_t out_dim, Rng& rng);
+  LinearLayer(size_t in_dim, size_t out_dim, Rng& rng, bool relu = false);
 
   void Forward(const Matrix& input, Matrix* output) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& input, const Matrix& output,
+                const Matrix& grad_output, Matrix* grad_input) override;
   std::vector<ParamRef> Params() override;
 
   size_t in_dim() const { return weights_.rows(); }
   size_t out_dim() const { return weights_.cols(); }
 
  private:
+  bool relu_;
   Matrix weights_;
   Matrix bias_;  // 1 x out.
   Matrix grad_weights_;
   Matrix grad_bias_;
-  Matrix cached_input_;
-};
-
-/// Rectified linear unit, applied elementwise.
-class ReluLayer : public Layer {
- public:
-  void Forward(const Matrix& input, Matrix* output) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
-
- private:
-  Matrix cached_input_;
+  Matrix masked_grad_;  // Backward's ReLU-masked dY, reused across calls.
 };
 
 /// Inverted dropout: during training each activation is zeroed with
@@ -84,7 +77,9 @@ class DropoutLayer : public Layer {
   DropoutLayer(double rate, uint64_t seed);
 
   void Forward(const Matrix& input, Matrix* output) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  /// Reads only `grad_output` and the mask of the last Forward.
+  void Backward(const Matrix& input, const Matrix& output,
+                const Matrix& grad_output, Matrix* grad_input) override;
   void SetTraining(bool training) override { training_ = training; }
 
   double rate() const { return rate_; }

@@ -16,10 +16,8 @@ MlpModel::MlpModel(const std::vector<size_t>& layer_dims, Rng& rng,
   ENLD_CHECK_LT(dropout_rate, 1.0);
   // Linear+ReLU (+Dropout) per hidden layer, then the classifier Linear.
   for (size_t i = 0; i + 2 < layer_dims_.size(); ++i) {
-    layers_.push_back(
-        std::make_unique<LinearLayer>(layer_dims_[i], layer_dims_[i + 1],
-                                      rng));
-    layers_.push_back(std::make_unique<ReluLayer>());
+    layers_.push_back(std::make_unique<LinearLayer>(
+        layer_dims_[i], layer_dims_[i + 1], rng, /*relu=*/true));
     if (dropout_rate_ > 0.0) {
       layers_.push_back(
           std::make_unique<DropoutLayer>(dropout_rate_, rng.NextUInt64()));
@@ -44,7 +42,7 @@ void MlpModel::Forward(const Matrix& inputs, Matrix* logits,
     current = out;
   }
   if (features != nullptr) {
-    // The input to the final linear layer (output of the last ReLU).
+    // The input to the final linear layer (the last hidden activation).
     *features = activations_[layers_.size() - 2];
   }
 }
@@ -89,13 +87,16 @@ double MlpModel::TrainStep(const Matrix& inputs, const Matrix& soft_targets,
   const double loss = SoftmaxCrossEntropy(logits, soft_targets, &grad);
 
   for (auto& layer : layers_) layer->ZeroGrads();
+  // Back through the tape: layer i read activations_[i - 1] (the inputs
+  // for i = 0) and wrote activations_[i] (the logits for the last).
   Matrix grad_in;
-  for (size_t i = layers_.size(); i > 1; --i) {
-    layers_[i - 1]->Backward(grad, &grad_in);
+  for (size_t i = layers_.size(); i-- > 0;) {
+    const Matrix& in = i == 0 ? inputs : activations_[i - 1];
+    const Matrix& out = i + 1 == layers_.size() ? logits : activations_[i];
+    // Nothing consumes the gradient with respect to the inputs.
+    layers_[i]->Backward(in, out, grad, i == 0 ? nullptr : &grad_in);
     std::swap(grad, grad_in);
   }
-  // Nothing consumes the gradient with respect to the inputs.
-  layers_.front()->Backward(grad, /*grad_input=*/nullptr);
   optimizer->Step(Params());
   SetTraining(false);
   return loss;

@@ -71,7 +71,9 @@ class MlpModel {
   std::vector<size_t> layer_dims_;
   double dropout_rate_ = 0.0;
   std::vector<std::unique_ptr<Layer>> layers_;
-  // Scratch activations reused across Forward calls.
+  // The activation tape: activations_[i] is layer i's output from the last
+  // Forward (the last layer writes the caller's logits instead). Backward
+  // reads it; later Forward calls reuse the storage.
   std::vector<Matrix> activations_;
 };
 

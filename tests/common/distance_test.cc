@@ -1,6 +1,7 @@
 #include "common/distance.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -85,8 +86,8 @@ TEST(DistanceTest, PackSoaBlockLayoutAndPadding) {
 TEST(DistanceTest, BatchedMatchesScalarBitwiseOnAllBackends) {
   BackendGuard guard;
   Rng rng(3);
-  for (const char* backend : {"generic", "avx2"}) {
-    if (!SetKernelBackend(backend)) continue;  // CPU w/o AVX2.
+  for (const char* backend : {"generic", "avx2", "avx512"}) {
+    if (!SetKernelBackend(backend)) continue;  // CPU w/o AVX2 or AVX-512.
     ASSERT_STREQ(KernelBackend(), backend);
     for (size_t count : {1u, 7u, 8u, 9u, 16u, 17u, 100u}) {
       for (size_t dim : {1u, 3u, 8u, 21u}) {
@@ -157,6 +158,30 @@ TEST(DistanceTest, UnknownBackendRejected) {
   EXPECT_FALSE(SetKernelBackend(nullptr));
   EXPECT_EQ(before, KernelBackend());
   EXPECT_TRUE(SetKernelBackend("auto"));
+}
+
+/// ENLD_KERNEL names every backend: detection ("auto") takes the named one
+/// when this CPU has it, and otherwise, as for an unknown name, picks the
+/// widest backend the CPU supports.
+TEST(DistanceTest, EnvNamesEveryBackend) {
+  BackendGuard guard;
+  const char* env = std::getenv("ENLD_KERNEL");
+  const std::string saved_env = env == nullptr ? "" : env;
+  unsetenv("ENLD_KERNEL");
+  ASSERT_TRUE(SetKernelBackend("auto"));
+  const std::string widest = KernelBackend();
+  for (const char* name : {"generic", "avx2", "avx512", "sse9"}) {
+    const bool available = SetKernelBackend(name);
+    setenv("ENLD_KERNEL", name, /*overwrite=*/1);
+    ASSERT_TRUE(SetKernelBackend("auto"));
+    EXPECT_EQ(KernelBackend(), available ? std::string(name) : widest)
+        << name;
+  }
+  if (env == nullptr) {
+    unsetenv("ENLD_KERNEL");
+  } else {
+    setenv("ENLD_KERNEL", saved_env.c_str(), /*overwrite=*/1);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "common/kernel_backend.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/telemetry/metrics.h"
 
 namespace enld {
 namespace {
@@ -110,12 +111,15 @@ class KernelStateGuard {
   std::string backend_;
 };
 
-/// Runs `body` once per available kernel backend (avx2 is skipped on CPUs
-/// without it) at 1 and at 4 threads.
+/// Every kernel backend; SetKernelBackend refuses those this CPU lacks.
+constexpr const char* kBackends[] = {"generic", "avx2", "avx512"};
+
+/// Runs `body` once per available kernel backend (avx2 and avx512 are
+/// skipped on CPUs without them) at 1 and at 4 threads.
 template <typename Body>
 void ForEachBackendAndThreads(Body body) {
   KernelStateGuard guard;
-  for (const char* backend : {"generic", "avx2"}) {
+  for (const char* backend : kBackends) {
     if (!SetKernelBackend(backend)) continue;
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SetParallelThreads(threads);
@@ -253,13 +257,13 @@ TEST(MatMulTest, IdentityIsNeutral) {
 
 /// Every backend of every product equals the naive loop bit for bit, at 1
 /// and 4 threads, over shapes that leave a tail in every dimension: rows
-/// around the 4-row tile, columns around the 8- and 16-lane vectors.
+/// around the 4-row tile, columns around the 8-, 16- and 32-lane vectors.
 TEST(MatMulTest, AllBackendsMatchNaiveBitwise) {
   Rng rng(8);
   std::vector<std::pair<Matrix, Matrix>> operands;
   std::vector<Matrix> want;
   for (size_t m : {1u, 3u, 4u, 5u, 63u, 64u, 65u}) {
-    for (size_t n : {1u, 7u, 8u, 9u, 100u, 128u}) {
+    for (size_t n : {1u, 7u, 8u, 9u, 16u, 17u, 24u, 33u, 100u, 128u}) {
       for (size_t k : {1u, 32u, 64u, 128u}) {
         operands.emplace_back(RandomMatrix(m, k, rng), RandomMatrix(k, n, rng));
         want.push_back(NaiveMatMul(operands.back().first,
@@ -276,6 +280,26 @@ TEST(MatMulTest, AllBackendsMatchNaiveBitwise) {
             << " k=" << a.cols() << " n=" << b.cols();
       }
     }
+  });
+}
+
+/// Large products split into chunks of whole 4-row register tiles: the
+/// 64 x 128 x 64 forward product of the fine-tune MLP runs as at most
+/// 64 / 4 = 16 chunks at any thread count, and still equals the naive
+/// loop bit for bit.
+TEST(MatMulTest, ParallelChunksAreWholeTiles) {
+  Rng rng(11);
+  const Matrix a = RandomMatrix(64, 128, rng);
+  const Matrix b = RandomMatrix(128, 64, rng);
+  const Matrix want = NaiveMatMul(a, b);
+  telemetry::Counter* chunks =
+      telemetry::MetricsRegistry::Global().GetCounter("parallel/chunks");
+  ForEachBackendAndThreads([&](const std::string& where) {
+    const uint64_t before = chunks->Value();
+    Matrix out;
+    MatMul(a, b, &out);
+    EXPECT_LE(chunks->Value() - before, 16u) << where;
+    EXPECT_TRUE(BitEqual(out, want)) << where;
   });
 }
 
@@ -361,7 +385,7 @@ TEST(MatMulTest, NonFinitePropagatesIdenticallyInParallelPath) {
   b(5, 0) = std::numeric_limits<float>::infinity();
   b(9, 2) = std::numeric_limits<float>::quiet_NaN();
   KernelStateGuard guard;
-  for (const char* backend : {"generic", "avx2"}) {
+  for (const char* backend : kBackends) {
     if (!SetKernelBackend(backend)) continue;
     for (Product product : kProducts) {
       SCOPED_TRACE(std::string(ProductName(product)) + " " + backend);

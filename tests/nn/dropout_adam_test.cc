@@ -57,7 +57,7 @@ TEST(DropoutLayerTest, BackwardUsesSameMask) {
   dropout.Forward(input, &output);
   Matrix grad_out(1, 32, 1.0f);
   Matrix grad_in;
-  dropout.Backward(grad_out, &grad_in);
+  dropout.Backward(input, output, grad_out, &grad_in);
   for (size_t i = 0; i < output.size(); ++i) {
     EXPECT_EQ(grad_in.data()[i], output.data()[i]);  // grad * mask.
   }

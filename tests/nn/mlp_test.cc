@@ -165,8 +165,8 @@ TEST(MlpModelTest, TrainingBitIdenticalAcrossBackendsAndThreads) {
   ASSERT_TRUE(SetKernelBackend("generic"));
   SetParallelThreads(1);
   const std::vector<float> want = train();
-  for (const char* backend : {"generic", "avx2"}) {
-    if (!SetKernelBackend(backend)) continue;  // CPU without AVX2.
+  for (const char* backend : {"generic", "avx2", "avx512"}) {
+    if (!SetKernelBackend(backend)) continue;  // CPU without AVX2/AVX-512.
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SetParallelThreads(threads);
       const std::vector<float> got = train();
