@@ -221,15 +221,6 @@ void SetParallelThreads(size_t threads) {
   old.reset();  // Joins the previous workers.
 }
 
-void ParallelEnqueue(std::function<void()> task) {
-  ThreadPool* pool = GetPool();
-  if (pool == nullptr || tls_in_pool_worker) {
-    task();
-    return;
-  }
-  pool->Submit(std::move(task));
-}
-
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn) {
   if (end <= begin) return;

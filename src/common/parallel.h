@@ -36,15 +36,6 @@ size_t ParallelThreadCount();
 /// tests that sweep thread counts inside one process.
 void SetParallelThreads(size_t threads);
 
-/// Schedules one standalone task on the shared pool and returns without
-/// waiting for it. With a sequential configuration (thread count 1) — or
-/// when called from inside a pool worker, where enqueueing could deadlock
-/// a saturated pool — the task runs inline before the call returns, which
-/// is the exact sequential ordering. Callers that need completion or a
-/// result wrap the task in a promise/future pair. Used by the request
-/// pipeline (src/enld/pipeline.*) to overlap store IO with detection.
-void ParallelEnqueue(std::function<void()> task);
-
 /// Runs `fn(chunk_begin, chunk_end)` over consecutive chunks of [begin,
 /// end), each at most `grain` long (grain 0 is treated as 1). Chunks may
 /// execute concurrently and in any order; the call returns after every

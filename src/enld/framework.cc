@@ -48,32 +48,35 @@ void EnldFramework::Setup(const Dataset& inventory) {
   ENLD_TRACE_SPAN("setup");
   {
     ENLD_TRACE_SPAN("setup/general_model");
-    general_ = InitGeneralModel(inventory, config_.general);
+    GeneralModel general = InitGeneralModel(inventory, config_.general);
+    model_ = std::move(general.model);
+    train_set_ = std::make_shared<const Dataset>(std::move(general.train_set));
+    candidate_set_ =
+        std::make_shared<const Dataset>(std::move(general.candidate_set));
   }
   {
     ENLD_TRACE_SPAN("setup/joint_estimation");
-    const JointCounts joint =
-        EstimateJointCounts(general_.model.get(), general_.candidate_set);
+    const JointCounts joint = EstimateJointCounts(model_.get(), *candidate_set_);
     conditional_ = ConditionalFromJoint(joint);
   }
   RecordConditionalDiagonal(conditional_, "setup/ptilde_diag");
-  selected_clean_.assign(general_.candidate_set.size(), false);
+  selected_clean_.assign(candidate_set_->size(), false);
   feature_cache_.BumpModelVersion();
 }
 
 DetectionResult EnldFramework::Detect(const Dataset& incremental) {
-  ENLD_CHECK(general_.model != nullptr);  // Setup must run first.
-  ENLD_CHECK_EQ(incremental.num_classes, general_.candidate_set.num_classes);
+  ENLD_CHECK(model_ != nullptr);  // Setup must run first.
+  ENLD_CHECK_EQ(incremental.num_classes, candidate_set_->num_classes);
 
   // Fine-tune a copy of θ so the general model survives the request.
   Rng model_rng = rng_.Fork();
-  MlpModel finetuned(general_.model->layer_dims(), model_rng);
-  finetuned.SetWeights(general_.model->GetWeights());
+  MlpModel finetuned(model_->layer_dims(), model_rng);
+  finetuned.SetWeights(model_->GetWeights());
 
   FineGrainedInputs inputs;
   inputs.model = &finetuned;
   inputs.incremental = &incremental;
-  inputs.candidate = &general_.candidate_set;
+  inputs.candidate = candidate_set_.get();
   inputs.conditional = &conditional_;
   if (feature_cache_enabled_) inputs.cache = &feature_cache_;
   FineGrainedOutputs outputs = FineGrainedDetect(inputs, config_, rng_);
@@ -100,12 +103,12 @@ std::vector<size_t> EnldFramework::selected_clean_positions() const {
 }
 
 EnldFrameworkState EnldFramework::CaptureState() const {
-  ENLD_CHECK(general_.model != nullptr);  // Setup must run first.
+  ENLD_CHECK(model_ != nullptr);  // Setup must run first.
   EnldFrameworkState state;
-  state.model_dims = general_.model->layer_dims();
-  state.model_weights = general_.model->GetWeights();
-  state.train_set = general_.train_set;
-  state.candidate_set = general_.candidate_set;
+  state.model_dims = model_->layer_dims();
+  state.model_weights = model_->GetWeights();
+  state.train_set = train_set_;
+  state.candidate_set = candidate_set_;
   state.conditional = conditional_;
   state.selected_clean.reserve(selected_clean_.size());
   for (bool b : selected_clean_) {
@@ -118,14 +121,18 @@ EnldFrameworkState EnldFramework::CaptureState() const {
 Status EnldFramework::RestoreState(EnldFrameworkState state) {
   // Validate everything before touching any member so a bad state leaves
   // the framework exactly as it was.
-  ENLD_RETURN_IF_ERROR(ValidateDataset(state.train_set));
-  ENLD_RETURN_IF_ERROR(ValidateDataset(state.candidate_set));
-  if (state.train_set.num_classes != state.candidate_set.num_classes) {
+  if (state.train_set == nullptr || state.candidate_set == nullptr) {
+    return Status::InvalidArgument("train or candidate set is missing");
+  }
+  const Dataset& train = *state.train_set;
+  const Dataset& candidate = *state.candidate_set;
+  ENLD_RETURN_IF_ERROR(ValidateDataset(train));
+  ENLD_RETURN_IF_ERROR(ValidateDataset(candidate));
+  if (train.num_classes != candidate.num_classes) {
     return Status::InvalidArgument(
         "train and candidate sets disagree on num_classes");
   }
-  if (!state.train_set.empty() && !state.candidate_set.empty() &&
-      state.train_set.dim() != state.candidate_set.dim()) {
+  if (!train.empty() && !candidate.empty() && train.dim() != candidate.dim()) {
     return Status::InvalidArgument(
         "train and candidate sets disagree on feature dim");
   }
@@ -144,13 +151,12 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
     return Status::InvalidArgument(
         "model weight count does not match the architecture");
   }
-  if (state.model_dims.back() !=
-      static_cast<size_t>(state.candidate_set.num_classes)) {
+  if (state.model_dims.back() != static_cast<size_t>(candidate.num_classes)) {
     return Status::InvalidArgument(
         "model output dim does not match num_classes");
   }
   const size_t classes = state.conditional.size();
-  if (classes != static_cast<size_t>(state.candidate_set.num_classes)) {
+  if (classes != static_cast<size_t>(candidate.num_classes)) {
     return Status::InvalidArgument("P~ row count does not match num_classes");
   }
   for (const auto& row : state.conditional) {
@@ -158,7 +164,7 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
       return Status::InvalidArgument("P~ must be square");
     }
   }
-  if (state.selected_clean.size() != state.candidate_set.size()) {
+  if (state.selected_clean.size() != candidate.size()) {
     return Status::InvalidArgument(
         "S_c bitmap length does not match the candidate set");
   }
@@ -172,9 +178,9 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
   Rng init_rng(1);
   auto model = std::make_unique<MlpModel>(state.model_dims, init_rng);
   model->SetWeights(state.model_weights);
-  general_.model = std::move(model);
-  general_.train_set = std::move(state.train_set);
-  general_.candidate_set = std::move(state.candidate_set);
+  model_ = std::move(model);
+  train_set_ = std::move(state.train_set);
+  candidate_set_ = std::move(state.candidate_set);
   conditional_ = std::move(state.conditional);
   selected_clean_.assign(state.selected_clean.size(), false);
   for (size_t i = 0; i < state.selected_clean.size(); ++i) {
@@ -188,7 +194,7 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
 }
 
 Status EnldFramework::UpdateModel() {
-  if (general_.model == nullptr) {
+  if (model_ == nullptr) {
     return Status::FailedPrecondition("Setup has not been run");
   }
   const std::vector<size_t> positions = selected_clean_positions();
@@ -204,21 +210,21 @@ Status EnldFramework::UpdateModel() {
   // θ^u = train(S_c): the updated model is warm-started from the current
   // general model so classes under-represented in S_c keep their learned
   // structure, then trained on the selected clean samples.
-  const Dataset clean = general_.candidate_set.Subset(positions);
+  const Dataset clean = candidate_set_->Subset(positions);
   Rng model_rng = rng_.Fork();
   auto updated = MakeBackboneModel(config_.general.backbone, clean.dim(),
                                    clean.num_classes, model_rng);
-  updated->SetWeights(general_.model->GetWeights());
+  updated->SetWeights(model_->GetWeights());
   TrainConfig train = config_.general.train;
   train.seed = rng_.NextUInt64();
   TrainModel(updated.get(), clean, /*validation=*/nullptr, train);
-  general_.model = std::move(updated);
+  model_ = std::move(updated);
 
-  // Swap I_t and I_c, then re-estimate P̃ on the new candidate set.
-  std::swap(general_.train_set, general_.candidate_set);
+  // Swap I_t and I_c — the pointers, so a captured state keeps the sets it
+  // shares — then re-estimate P̃ on the new candidate set.
+  std::swap(train_set_, candidate_set_);
   const std::vector<std::vector<double>> previous = conditional_;
-  const JointCounts joint =
-      EstimateJointCounts(general_.model.get(), general_.candidate_set);
+  const JointCounts joint = EstimateJointCounts(model_.get(), *candidate_set_);
   conditional_ = ConditionalFromJoint(joint);
 
   // Per-class P̃ drift: L1 distance between the old and new conditional
@@ -236,7 +242,7 @@ Status EnldFramework::UpdateModel() {
   }
   RecordConditionalDiagonal(conditional_, "update/ptilde_diag");
 
-  selected_clean_.assign(general_.candidate_set.size(), false);
+  selected_clean_.assign(candidate_set_->size(), false);
   // New weights and a swapped candidate set: everything cached is stale.
   feature_cache_.BumpModelVersion();
   return Status::OK();

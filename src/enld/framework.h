@@ -1,6 +1,7 @@
 #ifndef ENLD_ENLD_FRAMEWORK_H_
 #define ENLD_ENLD_FRAMEWORK_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,11 +21,15 @@ namespace enld {
 /// accumulated S_c membership and the RNG stream position. Restoring this
 /// state into a framework built from the same EnldConfig reproduces the
 /// byte-exact behaviour of the original instance for all future calls.
+///
+/// I_t and I_c are shared, not copied: the framework never mutates a
+/// dataset it holds (UpdateModel swaps the two pointers), so a captured
+/// state stays valid while the framework moves on.
 struct EnldFrameworkState {
   std::vector<size_t> model_dims;
   std::vector<float> model_weights;
-  Dataset train_set;      // I_t.
-  Dataset candidate_set;  // I_c.
+  std::shared_ptr<const Dataset> train_set;      // I_t.
+  std::shared_ptr<const Dataset> candidate_set;  // I_c.
   /// P̃(y* = j | ỹ = i), square over all classes.
   std::vector<std::vector<double>> conditional;
   /// S_c membership (0/1), parallel to candidate_set.
@@ -71,11 +76,11 @@ class EnldFramework : public NoisyLabelDetector {
   Status UpdateModel();
 
   /// The general model θ (valid after Setup).
-  MlpModel* general_model() { return general_.model.get(); }
-  /// The candidate set I_c.
-  const Dataset& candidate_set() const { return general_.candidate_set; }
-  /// The training set I_t.
-  const Dataset& train_set() const { return general_.train_set; }
+  MlpModel* general_model() { return model_.get(); }
+  /// The candidate set I_c (valid after Setup).
+  const Dataset& candidate_set() const { return *candidate_set_; }
+  /// The training set I_t (valid after Setup).
+  const Dataset& train_set() const { return *train_set_; }
   /// P̃(y* = j | ỹ = i), row i = observed label.
   const std::vector<std::vector<double>>& conditional() const {
     return conditional_;
@@ -101,22 +106,25 @@ class EnldFramework : public NoisyLabelDetector {
   /// next request recomputes its view/index.
   void InvalidateFeatureCache() { feature_cache_.BumpModelVersion(); }
 
-  /// Copies out the complete framework state for snapshotting. Requires
-  /// Setup (or RestoreState) to have run.
+  /// Captures the complete framework state for snapshotting: the model,
+  /// P̃, S_c and RNG are copied, I_t and I_c shared. Requires Setup (or
+  /// RestoreState) to have run.
   EnldFrameworkState CaptureState() const;
 
   /// Replaces the framework's state with a previously captured one,
   /// skipping Setup entirely. Validates the state first and fails with
   /// InvalidArgument — leaving the framework untouched — on any
-  /// inconsistency (mismatched column lengths, weight counts, a
-  /// non-square P̃, a degenerate RNG state).
+  /// inconsistency (a null dataset, mismatched column lengths, weight
+  /// counts, a non-square P̃, a degenerate RNG state).
   Status RestoreState(EnldFrameworkState state);
 
  private:
   EnldConfig config_;
-  GeneralModel general_;
+  std::unique_ptr<MlpModel> model_;                // θ.
+  std::shared_ptr<const Dataset> train_set_;      // I_t.
+  std::shared_ptr<const Dataset> candidate_set_;  // I_c.
   std::vector<std::vector<double>> conditional_;
-  /// S_c membership, parallel to general_.candidate_set.
+  /// S_c membership, parallel to candidate_set_.
   std::vector<bool> selected_clean_;
   Rng rng_;
   FeatureCache feature_cache_;

@@ -1,11 +1,10 @@
 #include "enld/pipeline.h"
 
 #include <algorithm>
-#include <memory>
+#include <exception>
 #include <string>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/telemetry/metrics.h"
 
 namespace enld {
@@ -61,7 +60,13 @@ RequestPipeline::RequestPipeline(DataPlatform* platform, PipelineConfig config)
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.recent_ring_capacity == 0) config_.recent_ring_capacity = 1;
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  store_ = std::thread([this] { StoreLoop(); });
+  try {
+    dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  } catch (...) {
+    Shutdown();  // joins the store thread before the members go away
+    throw;
+  }
 }
 
 RequestPipeline::~RequestPipeline() { Shutdown(); }
@@ -126,7 +131,6 @@ void RequestPipeline::DispatcherLoop() {
 
     for (PendingRequest& request : batch) CompleteRequest(request);
   }
-  AwaitSnapshotWrite();
 }
 
 void RequestPipeline::CompleteRequest(PendingRequest& request) {
@@ -218,31 +222,27 @@ void RequestPipeline::BeginDeferredSnapshot() {
   // Serialize writes: snapshot seq numbers (and CURRENT) must advance in
   // request order, so the previous write has to land before the next
   // capture is taken. Detection of the *next* request still overlaps the
-  // write enqueued below.
+  // write handed over below.
   AwaitSnapshotWrite();
   StatusOr<std::function<Status()>> deferred = config_.snapshot_capture();
   if (!deferred.ok()) {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    std::lock_guard<std::mutex> lock(store_mu_);
     if (snapshot_status_.ok()) snapshot_status_ = deferred.status();
     return;
   }
-  auto write = std::make_shared<std::function<Status()>>(
-      std::move(deferred).value());
-  auto promise = std::make_shared<std::promise<Status>>();
-  snapshot_write_ = promise->get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.snapshot_writes;
   }
   PipelineMetrics::Get().snapshot_writes->Increment();
-  // The publish histogram times the durable write itself, on whatever pool
-  // thread runs it — the capture cost is already inside detect/process.
-  ParallelEnqueue([write, promise] {
+  // The publish histogram times the durable write itself on the store
+  // thread — the capture cost is already inside detect/process.
+  StartStoreJob([write = std::move(deferred).value()] {
     Stopwatch publish;
-    Status written = (*write)();
+    Status written = write();
     PipelineMetrics::Get().snapshot_publish_seconds->Observe(
         publish.ElapsedSeconds());
-    promise->set_value(std::move(written));
+    return written;
   });
 }
 
@@ -253,10 +253,7 @@ void RequestPipeline::BeginBackgroundScrub() {
   // request path never blocks on the scrub itself — only the *snapshot*
   // of a later request would, exactly as it waits for any write.
   AwaitSnapshotWrite();
-  auto hook = config_.scrub_hook;
-  auto promise = std::make_shared<std::promise<Status>>();
-  snapshot_write_ = promise->get_future();
-  ParallelEnqueue([this, hook, promise] {
+  StartStoreJob([this, hook = config_.scrub_hook] {
     Stopwatch scrub;
     StatusOr<uint64_t> findings = hook();
     PipelineMetrics::Get().scrub_seconds->Observe(scrub.ElapsedSeconds());
@@ -275,16 +272,42 @@ void RequestPipeline::BeginBackgroundScrub() {
     }
     // A failed scrub (e.g. no snapshot written yet) is telemetry, not a
     // pipeline error: it must not poison snapshot_status_.
-    promise->set_value(Status::OK());
+    return Status::OK();
   });
 }
 
 void RequestPipeline::AwaitSnapshotWrite() {
-  if (!snapshot_write_.valid()) return;
-  const Status written = snapshot_write_.get();
-  if (!written.ok()) {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    if (snapshot_status_.ok()) snapshot_status_ = written;
+  std::unique_lock<std::mutex> lock(store_mu_);
+  store_cv_.wait(lock, [this] { return !store_busy_; });
+}
+
+void RequestPipeline::StartStoreJob(std::function<Status()> job) {
+  {
+    std::lock_guard<std::mutex> lock(store_mu_);
+    store_job_ = std::move(job);
+    store_busy_ = true;
+  }
+  store_cv_.notify_all();
+}
+
+void RequestPipeline::StoreLoop() {
+  std::unique_lock<std::mutex> lock(store_mu_);
+  while (true) {
+    store_cv_.wait(lock, [this] { return store_stopping_ || store_job_; });
+    if (!store_job_) break;  // stopping_ and nothing left to write
+    std::function<Status()> job = std::move(store_job_);
+    store_job_ = nullptr;
+    lock.unlock();
+    Status status;
+    try {
+      status = job();
+    } catch (const std::exception& e) {
+      status = Status::Internal(std::string("store job threw: ") + e.what());
+    }
+    lock.lock();
+    if (!status.ok() && snapshot_status_.ok()) snapshot_status_ = status;
+    store_busy_ = false;
+    store_cv_.notify_all();
   }
 }
 
@@ -296,11 +319,19 @@ Status RequestPipeline::Shutdown() {
   queue_cv_.notify_all();
   space_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
+  // The dispatcher hands over no more jobs; the store thread finishes the
+  // one in flight, if any, before it sees the stop flag.
+  {
+    std::lock_guard<std::mutex> lock(store_mu_);
+    store_stopping_ = true;
+  }
+  store_cv_.notify_all();
+  if (store_.joinable()) store_.join();
   return snapshot_status();
 }
 
 Status RequestPipeline::snapshot_status() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  std::lock_guard<std::mutex> lock(store_mu_);
   return snapshot_status_;
 }
 

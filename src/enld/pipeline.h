@@ -24,8 +24,10 @@ namespace enld {
 /// `batch_size`, serving each through DataPlatform::Process. With a
 /// snapshot hook configured, the post-request snapshot is captured
 /// synchronously on the dispatcher thread, but its durable write runs on
-/// the shared thread pool (common/parallel.h), overlapping store IO with
-/// the next request's detection.
+/// the pipeline's own store thread, overlapping store IO with the next
+/// request's detection at any ENLD_THREADS. A response therefore can go
+/// out before its snapshot is durable: a crash loses at most the snapshot
+/// in flight, and restore resumes from the previous one.
 ///
 /// Determinism contract: detection results are byte-identical to calling
 /// Process sequentially in submission order, at any thread count. Two
@@ -33,7 +35,8 @@ namespace enld {
 /// the dispatcher completes requests strictly in submission order (the
 /// framework's RNG stream and S_c accumulation advance exactly as in the
 /// sequential path), and deferred snapshot writes only touch state that
-/// was copied out synchronously before the next request started. Requests
+/// was captured synchronously before the next request started — copied,
+/// or shared immutable datasets the framework never mutates. Requests
 /// are numbered by a monotonic submission sequence; that sequence — not
 /// wall clock — is the identity used in responses and audit trails.
 ///
@@ -71,14 +74,14 @@ struct PipelineConfig {
   /// Optional snapshot hook, typically
   ///   [&] { return platform.BeginSnapshot(dir); }
   /// Called on the dispatcher thread after every successful request; the
-  /// returned closure (the durable write) is enqueued on the shared pool.
+  /// returned closure (the durable write) runs on the store thread.
   /// Writes are serialized with each other — the next capture waits for
   /// the previous write — so snapshot sequence numbers advance in request
   /// order, but detection of later requests proceeds concurrently.
   std::function<StatusOr<std::function<Status()>>()> snapshot_capture;
   /// Optional background integrity scrub, typically
   ///   [&] { auto r = store::ScrubSnapshotStore(dir); ... }
-  /// returning the number of findings. Runs on the shared pool — off the
+  /// returning the number of findings. Runs on the store thread — off the
   /// request path — every `scrub_every` completed requests, reusing the
   /// snapshot-write serialization: the scrub waits for the in-flight
   /// snapshot write, and the next write waits for the scrub, so the
@@ -168,9 +171,10 @@ class RequestPipeline {
   std::future<PipelineResponse> Submit(Dataset incremental,
                                        SubmitOptions options);
 
-  /// Drains every queued request, waits for the in-flight snapshot write,
-  /// stops the dispatcher, and returns the first deferred snapshot error
-  /// (OK when every write landed). Idempotent; also run by the destructor.
+  /// Drains every queued request and stops the dispatcher, then lets the
+  /// store thread finish the in-flight snapshot write and stops it too.
+  /// Returns the first deferred snapshot error (OK when every write
+  /// landed). Idempotent; also run by the destructor.
   Status Shutdown();
 
   /// First error produced by a deferred snapshot write, latched; OK while
@@ -215,14 +219,21 @@ class RequestPipeline {
 
   void DispatcherLoop();
   void CompleteRequest(PendingRequest& request);
-  /// Captures the post-request snapshot and enqueues its durable write.
+  /// Captures the post-request snapshot and hands its durable write to the
+  /// store thread.
   void BeginDeferredSnapshot();
-  /// Enqueues a background store scrub on the shared pool, serialized
-  /// with snapshot writes. Dispatcher thread only.
+  /// Hands a background store scrub to the store thread, serialized with
+  /// snapshot writes. Dispatcher thread only.
   void BeginBackgroundScrub();
-  /// Joins the in-flight snapshot write, latching any error. Dispatcher
-  /// thread only.
+  /// Waits until the store thread has finished the job it was last handed.
+  /// Dispatcher thread only.
   void AwaitSnapshotWrite();
+  /// Hands `job` to the store thread; the previous job must have finished
+  /// (AwaitSnapshotWrite). Dispatcher thread only.
+  void StartStoreJob(std::function<Status()> job);
+  /// Runs store jobs one at a time until Shutdown, latching the first
+  /// error a job returns into snapshot_status_.
+  void StoreLoop();
 
   DataPlatform* platform_;
   PipelineConfig config_;
@@ -236,11 +247,18 @@ class RequestPipeline {
   Counters counters_;
   std::deque<RequestRecord> recent_;  ///< ring buffer, guarded by mu_
 
-  /// In-flight deferred snapshot write; dispatcher thread only.
-  std::future<Status> snapshot_write_;
-  mutable std::mutex snapshot_mu_;
-  Status snapshot_status_;  ///< guarded by snapshot_mu_
+  /// The store thread's hand-off slot: at most one job — a deferred
+  /// snapshot write or a scrub — is pending or running at a time.
+  /// Guarded by store_mu_: the pending job, whether a handed-over job has
+  /// not finished yet, the stop flag, and the first error a job returned.
+  mutable std::mutex store_mu_;
+  std::condition_variable store_cv_;
+  std::function<Status()> store_job_;
+  bool store_busy_ = false;
+  bool store_stopping_ = false;
+  Status snapshot_status_;
 
+  std::thread store_;
   std::thread dispatcher_;
 };
 

@@ -205,9 +205,9 @@ class DataPlatform {
   /// Asynchronous variant used by the request pipeline: captures the
   /// complete platform state *now* (synchronously, so the platform may
   /// keep serving) and returns a deferred durable write. Running the
-  /// returned closure — on any thread, e.g. via ParallelEnqueue — performs
-  /// the same save-and-retain work as SaveSnapshot and yields its Status.
-  /// Defined in src/store/snapshot.cc.
+  /// returned closure — on any thread, e.g. the pipeline's store thread —
+  /// performs the same save-and-retain work as SaveSnapshot and yields its
+  /// Status. Defined in src/store/snapshot.cc.
   StatusOr<std::function<Status()>> BeginSnapshot(
       const std::string& dir) const;
 

@@ -24,14 +24,19 @@ class File {
  public:
   File(const std::string& path, const char* mode)
       : handle_(std::fopen(path.c_str(), mode)) {}
-  ~File() {
-    if (handle_ != nullptr) std::fclose(handle_);
-  }
+  ~File() { Close(); }
   File(const File&) = delete;
   File& operator=(const File&) = delete;
 
   FILE* get() const { return handle_; }
   bool ok() const { return handle_ != nullptr; }
+  /// Closes the handle; false when the close, which flushes buffered
+  /// writes, failed.
+  bool Close() {
+    FILE* handle = handle_;
+    handle_ = nullptr;
+    return handle == nullptr || std::fclose(handle) == 0;
+  }
 
  private:
   FILE* handle_;
@@ -58,30 +63,42 @@ Status ValidateDimsAndWeights(const std::vector<size_t>& dims,
   return Status::OK();
 }
 
+/// Appends the host-order bytes of `value`.
+template <typename T>
+void AppendRaw(std::string* out, const T& value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
 }  // namespace
 
+std::string EncodeModelFile(const ModelFile& file) {
+  std::string out;
+  out.reserve(sizeof(kMagicV2) + sizeof(kByteOrderTag) +
+              (file.dims.size() + 2) * sizeof(uint64_t) +
+              file.weights.size() * sizeof(float));
+  out.append(kMagicV2, sizeof(kMagicV2));
+  AppendRaw(&out, kByteOrderTag);
+  AppendRaw(&out, static_cast<uint64_t>(file.dims.size()));
+  for (size_t d : file.dims) AppendRaw(&out, static_cast<uint64_t>(d));
+  AppendRaw(&out, static_cast<uint64_t>(file.weights.size()));
+  out.append(reinterpret_cast<const char*>(file.weights.data()),
+             file.weights.size() * sizeof(float));
+  return out;
+}
+
 Status SaveModelFile(const ModelFile& file, const std::string& path) {
+  const std::string bytes = EncodeModelFile(file);
   File out(path, "wb");
   if (!out.ok()) {
     return Status::NotFound("cannot open for writing: " + path);
   }
-
-  if (std::fwrite(kMagicV2, 1, sizeof(kMagicV2), out.get()) !=
-      sizeof(kMagicV2)) {
-    return Status::Internal("short write of header");
-  }
-  std::fwrite(&kByteOrderTag, sizeof(kByteOrderTag), 1, out.get());
-  const uint64_t num_dims = file.dims.size();
-  std::fwrite(&num_dims, sizeof(num_dims), 1, out.get());
-  for (size_t d : file.dims) {
-    const uint64_t v = d;
-    std::fwrite(&v, sizeof(v), 1, out.get());
-  }
-  const uint64_t count = file.weights.size();
-  std::fwrite(&count, sizeof(count), 1, out.get());
-  if (std::fwrite(file.weights.data(), sizeof(float), file.weights.size(),
-                  out.get()) != file.weights.size()) {
-    return Status::Internal("short write of weights");
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), out.get()) == bytes.size();
+  // The close flushes the stdio buffer, so a full disk often surfaces only
+  // there; it must be checked even when the write succeeded.
+  const bool closed = out.Close();
+  if (!written || !closed) {
+    return Status::Internal("cannot write model file: " + path);
   }
   return Status::OK();
 }

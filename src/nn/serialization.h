@@ -24,9 +24,14 @@ struct ModelFile {
 /// payloads are written in host order and the tag records what that was,
 /// so a file from a foreign-endian machine is rejected with
 /// InvalidArgument instead of being silently misread. Overwrites an
-/// existing file.
+/// existing file. Fails with NotFound when the file cannot be opened and
+/// Internal when a write or the final close fails (e.g. a full disk).
 Status SaveModel(const MlpModel& model, const std::string& path);
 Status SaveModelFile(const ModelFile& file, const std::string& path);
+
+/// The exact bytes SaveModelFile writes (no I/O), for callers that write
+/// them through their own durable path, like the snapshot store.
+std::string EncodeModelFile(const ModelFile& file);
 
 /// Reads a model written by SaveModel / SaveModelFile. Both the current
 /// "ENLDMDL2" format and the legacy tag-less "ENLDMDL1" format (assumed

@@ -30,21 +30,38 @@ telemetry::Counter* BytesWrittenCounter() {
   return counter;
 }
 
-/// The standard reflected CRC-32 table, built on first use.
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
+/// Slicing-by-8 tables, built on first use. Row 0 is the standard
+/// reflected CRC-32 table; row k advances a byte's contribution through k
+/// further zero bytes, so eight input bytes fold into the CRC with eight
+/// independent lookups instead of a serial chain of eight.
+using Crc32Tables = uint32_t[8][256];
+
+const Crc32Tables& Crc32Table() {
+  static Crc32Tables table;
   static const bool initialized = [] {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
       }
-      table[i] = crc;
+      table[0][i] = crc;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = table[k - 1][i];
+        table[k][i] = (prev >> 8) ^ table[0][prev & 0xFFu];
+      }
     }
     return true;
   }();
   (void)initialized;
   return table;
+}
+
+/// The four bytes at `p` as a little-endian word, on any host.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 class File {
@@ -69,11 +86,19 @@ class File {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& table = Crc32Table();
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ crc;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^
+          table[5][(lo >> 16) & 0xFFu] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFFu] ^ table[2][(hi >> 8) & 0xFFu] ^
+          table[1][(hi >> 16) & 0xFFu] ^ table[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ table[0][(crc ^ *bytes) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -185,10 +210,26 @@ bool BinaryReader::Skip(size_t size) {
 }
 
 void PutSection(std::string* out, uint32_t id, const std::string& payload) {
-  PutU32(out, id);
-  PutU64(out, payload.size());
-  PutU32(out, Crc32(payload));
+  const size_t section = BeginSection(out, id);
   out->append(payload);
+  FinishSection(out, section);
+}
+
+size_t BeginSection(std::string* out, uint32_t id) {
+  const size_t section = out->size();
+  PutU32(out, id);
+  PutU64(out, 0);  // payload length, set by FinishSection
+  PutU32(out, 0);  // payload CRC32, likewise
+  return section;
+}
+
+void FinishSection(std::string* out, size_t section) {
+  const size_t payload = section + 4 + 8 + 4;  // past id, length, CRC
+  const uint64_t length = out->size() - payload;
+  std::string fields;
+  PutU64(&fields, length);
+  PutU32(&fields, Crc32(out->data() + payload, length));
+  out->replace(section + 4, fields.size(), fields);
 }
 
 Status ReadSection(BinaryReader* reader, uint32_t expected_id,

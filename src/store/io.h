@@ -68,6 +68,13 @@ class BinaryReader {
 /// payload.
 void PutSection(std::string* out, uint32_t id, const std::string& payload);
 
+/// The same envelope for a payload appended to `out` in place:
+/// BeginSection writes the id and placeholder length/CRC fields and
+/// returns the envelope's offset; the caller appends the payload; then
+/// FinishSection(out, offset) fills in its length and CRC32.
+size_t BeginSection(std::string* out, uint32_t id);
+void FinishSection(std::string* out, size_t section);
+
 /// Reads one section envelope, verifying the id and the CRC. Fails with
 /// InvalidArgument on truncation, an unexpected id, or a checksum
 /// mismatch; CRC mismatches also count store/crc_failures.

@@ -80,10 +80,7 @@ Status SaveDatasetSharded(const Dataset& dataset, const std::string& dir,
     for (size_t s = begin; s < end; ++s) {
       const size_t lo = s * rows_per_shard;
       const size_t hi = std::min(rows, lo + rows_per_shard);
-      std::vector<size_t> indices(hi - lo);
-      for (size_t i = lo; i < hi; ++i) indices[i - lo] = i;
-      const std::string encoded =
-          EncodeDatasetShard(dataset.Subset(indices));
+      const std::string encoded = EncodeDatasetShardRows(dataset, lo, hi);
       entries[s].file = ShardFileName(s);
       entries[s].rows = hi - lo;
       entries[s].bytes = encoded.size();

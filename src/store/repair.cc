@@ -524,22 +524,23 @@ StatusOr<RepairReport> RepairSnapshotStore(const std::string& root,
 
   StatusOr<Dataset> train = repairer.RepairDataset(kSnapshotTrainDir);
   if (!train.ok()) return unrepairable(train.status().message());
-  contents.framework.train_set = std::move(train.value());
+  contents.framework.train_set =
+      std::make_shared<const Dataset>(std::move(train.value()));
   StatusOr<Dataset> candidate = repairer.RepairDataset(kSnapshotCandidateDir);
   if (!candidate.ok()) return unrepairable(candidate.status().message());
-  contents.framework.candidate_set = std::move(candidate.value());
+  contents.framework.candidate_set =
+      std::make_shared<const Dataset>(std::move(candidate.value()));
+  const Dataset& candidate_set = *contents.framework.candidate_set;
 
   // The cross-file invariants SnapshotStore::Load enforces must hold
   // before the rebuilt state is published.
-  if (contents.framework.selected_clean.size() !=
-      contents.framework.candidate_set.size()) {
+  if (contents.framework.selected_clean.size() != candidate_set.size()) {
     return unrepairable(
         "rebuilt candidate set disagrees with the clean-selection bitmap");
   }
-  if (!contents.framework.candidate_set.empty() &&
-      (contents.framework.candidate_set.dim() != contents.inventory_dim ||
-       contents.framework.candidate_set.num_classes !=
-           contents.inventory_classes)) {
+  if (!candidate_set.empty() &&
+      (candidate_set.dim() != contents.inventory_dim ||
+       candidate_set.num_classes != contents.inventory_classes)) {
     return unrepairable(
         "rebuilt candidate set disagrees with the snapshot's inventory "
         "geometry");

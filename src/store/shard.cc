@@ -1,7 +1,9 @@
 #include "store/shard.h"
 
+#include <bit>
 #include <cstring>
 
+#include "common/check.h"
 #include "common/faults.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
@@ -17,14 +19,37 @@ constexpr uint32_t kEndianTag = 0x01020304u;
 constexpr uint32_t kShardVersion = 1;
 constexpr uint32_t kSectionCount = 5;
 
+/// Labels are stored as int32; the bulk column copy relies on it.
+static_assert(sizeof(int) == sizeof(int32_t));
+
+/// Appends `count` column values little-endian, each sizeof(T) bytes wide:
+/// one bulk copy on little-endian hosts, `put` per value elsewhere.
+template <typename T, typename Put>
+void PutColumn(std::string* out, const T* values, size_t count, Put put) {
+  if (count == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    PutBytes(out, values, count * sizeof(T));
+  } else {
+    for (size_t i = 0; i < count; ++i) put(out, values[i]);
+  }
+}
+
 }  // namespace
 
 std::string EncodeDatasetShard(const Dataset& dataset) {
-  const size_t rows = dataset.size();
+  return EncodeDatasetShardRows(dataset, 0, dataset.size());
+}
+
+std::string EncodeDatasetShardRows(const Dataset& dataset, size_t lo,
+                                   size_t hi) {
+  ENLD_CHECK(lo <= hi && hi <= dataset.size());
+  const size_t rows = hi - lo;
   const size_t dim = dataset.dim();
 
   std::string out;
-  out.reserve(64 + rows * (dim * 4 + 17));
+  // Header and section envelopes take 120 bytes; a row takes 16 bytes
+  // plus its features and one bitmap bit.
+  out.reserve(128 + rows * (dim * 4 + 17));
   out.append(kShardMagic, sizeof(kShardMagic));
   PutU32(&out, kEndianTag);
   PutU32(&out, kShardVersion);
@@ -33,32 +58,31 @@ std::string EncodeDatasetShard(const Dataset& dataset) {
   PutU32(&out, static_cast<uint32_t>(dataset.num_classes));
   PutU32(&out, kSectionCount);
 
-  std::string payload;
-  payload.reserve(rows * dim * 4);
-  for (size_t i = 0; i < rows * dim; ++i) {
-    PutF32(&payload, dataset.features.data()[i]);
-  }
-  PutSection(&out, kShardSectionFeatures, payload);
+  size_t section = BeginSection(&out, kShardSectionFeatures);
+  PutColumn(&out, dataset.features.data() + lo * dim, rows * dim, PutF32);
+  FinishSection(&out, section);
 
-  payload.clear();
-  for (int label : dataset.observed_labels) PutI32(&payload, label);
-  PutSection(&out, kShardSectionObserved, payload);
+  section = BeginSection(&out, kShardSectionObserved);
+  PutColumn(&out, dataset.observed_labels.data() + lo, rows, PutI32);
+  FinishSection(&out, section);
 
-  payload.clear();
-  for (int label : dataset.true_labels) PutI32(&payload, label);
-  PutSection(&out, kShardSectionTrue, payload);
+  section = BeginSection(&out, kShardSectionTrue);
+  PutColumn(&out, dataset.true_labels.data() + lo, rows, PutI32);
+  FinishSection(&out, section);
 
-  payload.clear();
-  for (uint64_t id : dataset.ids) PutU64(&payload, id);
-  PutSection(&out, kShardSectionIds, payload);
+  section = BeginSection(&out, kShardSectionIds);
+  PutColumn(&out, dataset.ids.data() + lo, rows, PutU64);
+  FinishSection(&out, section);
 
-  payload.assign((rows + 7) / 8, '\0');
+  section = BeginSection(&out, kShardSectionMissingBitmap);
+  const size_t bitmap = out.size();
+  out.append((rows + 7) / 8, '\0');
   for (size_t i = 0; i < rows; ++i) {
-    if (dataset.observed_labels[i] == kMissingLabel) {
-      payload[i / 8] |= static_cast<char>(1u << (i % 8));
+    if (dataset.observed_labels[lo + i] == kMissingLabel) {
+      out[bitmap + i / 8] |= static_cast<char>(1u << (i % 8));
     }
   }
-  PutSection(&out, kShardSectionMissingBitmap, payload);
+  FinishSection(&out, section);
   return out;
 }
 

@@ -41,6 +41,13 @@ inline constexpr uint32_t kShardSectionMissingBitmap = 5;
 /// Serializes the dataset into the shard byte format (no I/O).
 std::string EncodeDatasetShard(const Dataset& dataset);
 
+/// Serializes rows [lo, hi) of the dataset straight into the shard byte
+/// format, without materializing the subset: the result equals
+/// EncodeDatasetShard of those rows byte for byte. Requires
+/// lo <= hi <= dataset.size().
+std::string EncodeDatasetShardRows(const Dataset& dataset, size_t lo,
+                                   size_t hi);
+
 /// Parses a shard buffer back into a Dataset, verifying every section CRC
 /// and the column invariants. The inverse of EncodeDatasetShard:
 /// DecodeDatasetShard(EncodeDatasetShard(d)) == d, byte-exact.

@@ -438,21 +438,20 @@ StatusOr<uint64_t> SnapshotStore::Save(const SnapshotContents& contents) {
   ENLD_RETURN_IF_ERROR(
       WriteFileDurable(staging + "/" + kStateFile, state));
 
-  // The model rides in the nn/serialization format. SaveModelFile writes
-  // plainly, so the bytes are read back once for the manifest CRC and
-  // re-written durably.
+  // The model rides in the nn/serialization format, encoded once and
+  // written durably; the manifest CRC is taken over the same bytes.
   ModelFile model;
   model.dims = contents.framework.model_dims;
   model.weights = contents.framework.model_weights;
-  const std::string model_path = staging + "/" + kModelFile;
-  ENLD_RETURN_IF_ERROR(SaveModelFile(model, model_path));
-  StatusOr<std::string> model_bytes = ReadFile(model_path);
-  if (!model_bytes.ok()) return model_bytes.status();
-  ENLD_RETURN_IF_ERROR(WriteFileDurable(model_path, model_bytes.value()));
+  const std::string model_bytes = EncodeModelFile(model);
+  ENLD_RETURN_IF_ERROR(
+      WriteFileDurable(staging + "/" + kModelFile, model_bytes));
 
+  ENLD_CHECK(contents.framework.train_set != nullptr &&
+             contents.framework.candidate_set != nullptr);
   ENLD_RETURN_IF_ERROR(SaveDatasetSharded(
-      contents.framework.train_set, staging + "/" + kTrainDir, kTrainDir));
-  ENLD_RETURN_IF_ERROR(SaveDatasetSharded(contents.framework.candidate_set,
+      *contents.framework.train_set, staging + "/" + kTrainDir, kTrainDir));
+  ENLD_RETURN_IF_ERROR(SaveDatasetSharded(*contents.framework.candidate_set,
                                           staging + "/" + kCandidateDir,
                                           kCandidateDir));
 
@@ -463,7 +462,7 @@ StatusOr<uint64_t> SnapshotStore::Save(const SnapshotContents& contents) {
                JsonValue::String(FingerprintHex(contents.config_fingerprint)));
   JsonValue files = JsonValue::Array();
   const std::pair<const char*, const std::string*> listed[] = {
-      {kStateFile, &state}, {kModelFile, &model_bytes.value()}};
+      {kStateFile, &state}, {kModelFile, &model_bytes}};
   for (const auto& [file_name, bytes] : listed) {
     JsonValue entry = JsonValue::Object();
     entry.Set("file", JsonValue::String(file_name));
@@ -622,18 +621,20 @@ StatusOr<SnapshotContents> SnapshotStore::Load(uint64_t seq) const {
 
   StatusOr<Dataset> train = LoadDatasetSharded(dir + "/" + kTrainDir);
   if (!train.ok()) return train.status();
-  contents.framework.train_set = std::move(train.value());
+  contents.framework.train_set =
+      std::make_shared<const Dataset>(std::move(train.value()));
   StatusOr<Dataset> candidate = LoadDatasetSharded(dir + "/" + kCandidateDir);
   if (!candidate.ok()) return candidate.status();
-  contents.framework.candidate_set = std::move(candidate.value());
+  contents.framework.candidate_set =
+      std::make_shared<const Dataset>(std::move(candidate.value()));
+  const Dataset& candidate_set = *contents.framework.candidate_set;
 
-  if (contents.framework.selected_clean.size() !=
-      contents.framework.candidate_set.size()) {
+  if (contents.framework.selected_clean.size() != candidate_set.size()) {
     return Status::InvalidArgument(
         "clean-selection bitmap length does not match the candidate set");
   }
   if (contents.framework.conditional.size() !=
-      static_cast<size_t>(contents.framework.candidate_set.num_classes)) {
+      static_cast<size_t>(candidate_set.num_classes)) {
     return Status::InvalidArgument(
         "conditional-probability size does not match num_classes");
   }
@@ -664,9 +665,13 @@ StatusOr<std::function<Status()>> DataPlatform::BeginSnapshot(
         "snapshots capture the built-in 'enld' framework state; detector '" +
         config_.detector + "' is not snapshottable");
   }
-  // The capture is synchronous — every byte below is copied before this
-  // returns, so the platform may process further requests while the
-  // returned closure performs the durable write on another thread.
+  // The capture is synchronous, so the platform may process further
+  // requests while the returned closure performs the durable write on
+  // another thread. The model, P̃, S_c, RNG and stats are copied before
+  // this returns. I_t and I_c are shared, not copied: the framework never
+  // mutates a dataset it holds — UpdateModel swaps the two pointers and
+  // RestoreState replaces them — so the datasets this capture points at
+  // stay exactly as captured until the write drops its reference.
   auto contents = std::make_shared<store::SnapshotContents>();
   contents->config_fingerprint = store::FingerprintConfig(config_);
   contents->framework = framework_.CaptureState();
@@ -707,9 +712,9 @@ Status DataPlatform::RestoreFromSnapshot(const std::string& dir) {
   }
   const uint64_t dim = contents.inventory_dim;
   const int classes = contents.inventory_classes;
-  if (!contents.framework.candidate_set.empty() &&
-      (contents.framework.candidate_set.dim() != dim ||
-       contents.framework.candidate_set.num_classes != classes)) {
+  const Dataset& candidate_set = *contents.framework.candidate_set;
+  if (!candidate_set.empty() &&
+      (candidate_set.dim() != dim || candidate_set.num_classes != classes)) {
     return Status::InvalidArgument(
         "snapshot inventory geometry disagrees with its candidate set");
   }

@@ -123,6 +123,33 @@ TEST_F(FrameworkTest, UpdateModelRequiresSelectedSamples) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(FrameworkTest, CaptureSharesDatasetsAcrossUpdate) {
+  EnldFramework enld(FastEnldConfig());
+  enld.Setup(workload_->inventory);
+  enld.Detect(workload_->incremental[0]);
+
+  // The capture shares I_t and I_c instead of copying them.
+  const EnldFrameworkState captured = enld.CaptureState();
+  EXPECT_EQ(captured.train_set.get(), &enld.train_set());
+  EXPECT_EQ(captured.candidate_set.get(), &enld.candidate_set());
+  const std::vector<uint64_t> train_ids = captured.train_set->ids;
+  const std::vector<uint64_t> candidate_ids = captured.candidate_set->ids;
+
+  // UpdateModel swaps the framework's sets; the capture keeps its own.
+  ASSERT_TRUE(enld.UpdateModel().ok());
+  EXPECT_EQ(captured.train_set->ids, train_ids);
+  EXPECT_EQ(captured.candidate_set->ids, candidate_ids);
+  EXPECT_EQ(enld.candidate_set().ids, train_ids);
+  EXPECT_EQ(captured.train_set.get(), &enld.candidate_set());
+
+  // A state without its datasets is rejected, leaving the framework as is.
+  EnldFrameworkState missing = enld.CaptureState();
+  missing.candidate_set = nullptr;
+  EXPECT_EQ(enld.RestoreState(std::move(missing)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(enld.candidate_set().ids, train_ids);
+}
+
 TEST_F(FrameworkTest, UpdateModelSwapsSetsAndResets) {
   EnldFramework enld(FastEnldConfig());
   enld.Setup(workload_->inventory);

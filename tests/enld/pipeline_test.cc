@@ -2,12 +2,13 @@
 // the sequential serving loop at any thread count, deadline-blown requests
 // degrade without stalling the queue behind them, shutdown drains every
 // queued request, and deferred snapshot writes land (and garbage-collect)
-// exactly like their synchronous counterparts.
+// exactly like their synchronous counterparts, off the request path.
 
 #include "enld/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -95,9 +96,8 @@ TEST_F(PipelineTest, AsyncMatchesSequentialByteForByte) {
   const std::vector<SequentialStep> expected =
       RunSequential(config, *workload_);
 
-  // The contract holds at any thread count: with one thread the deferred
-  // work runs inline (the exact sequential path); with several it overlaps
-  // the dispatcher.
+  // The contract holds at any pool thread count: one thread is the exact
+  // sequential compute path, several split each loop across the pool.
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SetParallelThreads(threads);
@@ -391,6 +391,96 @@ TEST_F(PipelineTest, DeferredSnapshotsLandAndGarbageCollect) {
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ(latest.value().seq, workload_->incremental.size());
   EXPECT_EQ(latest.value().stats.requests, workload_->incremental.size());
+  fs::remove_all(root);
+}
+
+TEST_F(PipelineTest, ResponseDoesNotWaitForItsSnapshotWrite) {
+  // One pool thread: the write must still run beside the dispatcher, on
+  // the pipeline's store thread, not inline before the response.
+  SetParallelThreads(1);
+  const std::string root =
+      (fs::path(::testing::TempDir()) / "pipeline_gated_snapshot").string();
+  fs::remove_all(root);
+  DataPlatform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform.Initialize(workload_->inventory).ok());
+
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  PipelineConfig pipeline_config;
+  pipeline_config.snapshot_capture =
+      [&platform, root, opened]() -> StatusOr<std::function<Status()>> {
+    StatusOr<std::function<Status()>> write = platform.BeginSnapshot(root);
+    if (!write.ok()) return write.status();
+    return std::function<Status()>(
+        [write = std::move(write).value(), opened] {
+          opened.wait();
+          return write();
+        });
+  };
+  RequestPipeline pipeline(&platform, pipeline_config);
+  std::future<PipelineResponse> future =
+      pipeline.Submit(workload_->incremental[0]);
+  const bool answered_while_writing =
+      future.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gate.set_value();  // Opened either way, so the test never hangs.
+  EXPECT_TRUE(answered_while_writing);
+  EXPECT_TRUE(future.get().result.ok());
+
+  ASSERT_TRUE(pipeline.Shutdown().ok());
+  const auto latest = store::SnapshotStore(root).LoadLatest();
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest.value().stats.requests, 1u);
+  fs::remove_all(root);
+}
+
+TEST_F(PipelineTest, SnapshotWritesOverlapModelUpdates) {
+  // Every request updates the model — retraining θ and swapping I_t and
+  // I_c — while the store thread may still be writing the previous
+  // request's capture. Under TSan this checks that a capture shares only
+  // data the framework never mutates.
+  DataPlatformConfig config = FastPlatformConfig();
+  config.update_every = 1;
+  config.min_update_samples = 1;
+  const std::vector<SequentialStep> expected =
+      RunSequential(config, *workload_);
+  ASSERT_GT(expected.back().stats.model_updates, 0u);
+  const std::string root =
+      (fs::path(::testing::TempDir()) / "pipeline_update_snapshots").string();
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetParallelThreads(threads);
+    fs::remove_all(root);
+    DataPlatform platform(config);
+    ASSERT_TRUE(platform.Initialize(workload_->inventory).ok());
+    PipelineConfig pipeline_config;
+    pipeline_config.snapshot_capture = [&platform, root] {
+      return platform.BeginSnapshot(root);
+    };
+    RequestPipeline pipeline(&platform, pipeline_config);
+    std::vector<std::future<PipelineResponse>> futures;
+    for (const Dataset& d : workload_->incremental) {
+      futures.push_back(pipeline.Submit(d));
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      PipelineResponse response = futures[i].get();
+      ASSERT_TRUE(response.result.ok());
+      EXPECT_EQ(response.result->noisy_indices,
+                expected[i].result.noisy_indices);
+      EXPECT_EQ(response.stats_after.model_updates,
+                expected[i].stats.model_updates);
+    }
+    ASSERT_TRUE(pipeline.Shutdown().ok());
+
+    // The last snapshot holds the state after the last update.
+    DataPlatform restored(config);
+    ASSERT_TRUE(restored.RestoreFromSnapshot(root).ok());
+    EXPECT_EQ(restored.stats().model_updates, platform.stats().model_updates);
+    EXPECT_EQ(restored.framework().candidate_set().ids,
+              platform.framework().candidate_set().ids);
+    EXPECT_EQ(restored.framework().CaptureState().model_weights,
+              platform.framework().CaptureState().model_weights);
+  }
   fs::remove_all(root);
 }
 

@@ -1,6 +1,7 @@
 #include "nn/serialization.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -78,6 +79,17 @@ TEST(ModelSerializationTest, UnwritablePathFails) {
   MlpModel model({2, 4, 2}, rng);
   EXPECT_EQ(SaveModel(model, "/nonexistent_dir/model.enld").code(),
             StatusCode::kNotFound);
+}
+
+TEST(ModelSerializationTest, FullDiskFails) {
+  // Every write to /dev/full fails with ENOSPC, but a small model fits in
+  // the stdio buffer, so the failure surfaces only when the file closes.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  Rng rng(4);
+  MlpModel model({2, 4, 2}, rng);
+  EXPECT_EQ(SaveModel(model, "/dev/full").code(), StatusCode::kInternal);
 }
 
 TEST(ModelSerializationTest, CurrentFormatCarriesByteOrderTag) {

@@ -245,7 +245,7 @@ TEST_F(ScrubRepairStoreTest, RepairRebuildsRowsFromSourceDirectory) {
   const EnldFrameworkState state = platform_->framework().CaptureState();
   const std::string source_dir = Path("source-train");
   ASSERT_TRUE(
-      store::SaveDatasetSharded(state.train_set, source_dir, "train").ok());
+      store::SaveDatasetSharded(*state.train_set, source_dir, "train").ok());
   const std::string shard = ShardPath(1, store::kSnapshotTrainDir);
   FlipByte(shard, 0);
   FlipByte(shard, 48);
@@ -262,8 +262,8 @@ TEST_F(ScrubRepairStoreTest, RepairRebuildsRowsFromSourceDirectory) {
 
   DataPlatform restored(FastPlatformConfig());
   ASSERT_TRUE(restored.RestoreFromSnapshot(Root()).ok());
-  EXPECT_EQ(restored.framework().CaptureState().train_set.size(),
-            state.train_set.size());
+  EXPECT_EQ(restored.framework().CaptureState().train_set->size(),
+            state.train_set->size());
 }
 
 TEST_F(ScrubRepairStoreTest, DryRunPlansWithoutMutatingStore) {

@@ -4,8 +4,10 @@
 
 #include "store/shard.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,11 +66,38 @@ void ExpectDatasetsBitIdentical(const Dataset& a, const Dataset& b) {
   }
 }
 
+/// Bit-at-a-time reflected CRC-32: the reference the table-driven Crc32
+/// must match on every length and alignment.
+uint32_t BitwiseCrc32(const unsigned char* bytes, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
 TEST(StoreIoTest, Crc32MatchesZlib) {
   // zlib.crc32(b"123456789") — the standard CRC-32 check value, so
   // tools/check_snapshot.py computes identical checksums.
   EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
   EXPECT_EQ(Crc32(std::string()), 0u);
+
+  // Every length 0..70 at every start offset 0..7: covers the 8-byte
+  // blocks, the byte tail and unaligned starts.
+  unsigned char buffer[80];
+  for (size_t i = 0; i < sizeof(buffer); ++i) {
+    buffer[i] = static_cast<unsigned char>(i * 167u + 13u);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 70; ++length) {
+      EXPECT_EQ(Crc32(buffer + offset, length),
+                BitwiseCrc32(buffer + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(StoreIoTest, PutReadRoundTrip) {
@@ -124,6 +153,24 @@ TEST(ShardTest, RoundTripPropertyOverRandomDatasets) {
     const auto decoded = DecodeDatasetShard(EncodeDatasetShard(original));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectDatasetsBitIdentical(original, decoded.value());
+  }
+}
+
+TEST(ShardTest, RowRangeEncodingMatchesEncodedSubset) {
+  const Dataset d = RandomDataset(37, 5, 4, 11);
+  ASSERT_NE(std::count(d.observed_labels.begin(), d.observed_labels.end(),
+                       kMissingLabel),
+            0);
+  // Whole, empty (at the start, middle and end), byte-aligned, and
+  // ranges whose missing-label bitmap ends mid-byte.
+  const std::pair<size_t, size_t> ranges[] = {
+      {0, 37}, {0, 0}, {12, 12}, {37, 37}, {8, 16}, {3, 14}, {5, 37}};
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<size_t> rows;
+    for (size_t i = lo; i < hi; ++i) rows.push_back(i);
+    EXPECT_EQ(store::EncodeDatasetShardRows(d, lo, hi),
+              EncodeDatasetShard(d.Subset(rows)))
+        << "rows " << lo << ".." << hi;
   }
 }
 

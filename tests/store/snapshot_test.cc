@@ -108,9 +108,9 @@ TEST_F(SnapshotTest, SaveRestoreRoundTripsEveryStateComponent) {
   EXPECT_EQ(a.model_weights, b.model_weights);
   EXPECT_EQ(a.conditional, b.conditional);
   EXPECT_EQ(a.selected_clean, b.selected_clean);
-  EXPECT_EQ(a.train_set.ids, b.train_set.ids);
-  EXPECT_EQ(a.train_set.observed_labels, b.train_set.observed_labels);
-  EXPECT_EQ(a.candidate_set.ids, b.candidate_set.ids);
+  EXPECT_EQ(a.train_set->ids, b.train_set->ids);
+  EXPECT_EQ(a.train_set->observed_labels, b.train_set->observed_labels);
+  EXPECT_EQ(a.candidate_set->ids, b.candidate_set->ids);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(a.rng.state[i], b.rng.state[i]);
   }
