@@ -10,6 +10,7 @@
 #include "common/kernel_backend.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/row_kernels.h"
 #include "graph/knn_graph.h"
 #include "graph/union_find.h"
 #include "knn/kdtree.h"
@@ -238,15 +239,60 @@ void BM_MlpTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpTrainStep);
 
-void BM_SoftmaxRows(benchmark::State& state) {
-  const Matrix logits = RandomPoints(1024, 100, 8);
+// ---- Row kernel rows (docs/BENCHMARKS.md, "Row kernels") ----
+// Softmax at one fine-tune batch (64 x 100) and a 400-row view, on the
+// generic loop (std::exp), the AVX-512 expf clone and the dispatched
+// backend. Args are {rows, cols}. The exp_clone counter is 1 when the
+// avx512 rows ran the clone, 0 when its self-check fell back to std::exp.
+
+void BM_SoftmaxRows(benchmark::State& state, const char* backend) {
+  if (!SetKernelBackend(backend)) {
+    state.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
+  const Matrix logits = RandomPoints(state.range(0), state.range(1), 8);
   Matrix probs;
   for (auto _ : state) {
     SoftmaxRows(logits, &probs);
     benchmark::DoNotOptimize(probs.data());
   }
+  state.SetItemsProcessed(state.iterations() * logits.size());
+  state.counters["exp_clone"] = ExpCloneActive() ? 1 : 0;
+  SetKernelBackend("auto");
 }
-BENCHMARK(BM_SoftmaxRows);
+BENCHMARK_CAPTURE(BM_SoftmaxRows, generic, "generic")
+    ->Args({64, 100})
+    ->Args({400, 100});
+BENCHMARK_CAPTURE(BM_SoftmaxRows, avx512, "avx512")
+    ->Args({64, 100})
+    ->Args({400, 100});
+BENCHMARK_CAPTURE(BM_SoftmaxRows, auto, "auto")
+    ->Args({64, 100})
+    ->Args({400, 100});
+
+/// The fine-tune loss: softmax, loss and gradient of a 64 x 100 batch.
+void BM_SoftmaxCrossEntropy(benchmark::State& state) {
+  const Matrix logits = RandomPoints(64, 100, 8);
+  std::vector<int> labels(64);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i * 37 % 100);
+  }
+  const Matrix targets = OneHot(labels, 100);
+  Matrix grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SoftmaxCrossEntropy(logits, targets, &grad));
+  }
+  state.SetItemsProcessed(state.iterations() * logits.size());
+}
+BENCHMARK(BM_SoftmaxCrossEntropy);
+
+/// Predictions of an increment (125 rows) and of the candidate view (4,000).
+void BM_ArgMaxRows(benchmark::State& state) {
+  const Matrix logits = RandomPoints(state.range(0), 100, 8);
+  for (auto _ : state) benchmark::DoNotOptimize(ArgMaxRows(logits));
+  state.SetItemsProcessed(state.iterations() * logits.size());
+}
+BENCHMARK(BM_ArgMaxRows)->Arg(125)->Arg(4000);
 
 void BM_MlpForward(benchmark::State& state) {
   Rng rng(9);

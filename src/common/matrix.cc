@@ -5,6 +5,7 @@
 
 #include "common/gemm.h"
 #include "common/parallel.h"
+#include "common/row_kernels.h"
 
 namespace enld {
 
@@ -140,18 +141,10 @@ void MatMulBt(const Matrix& a, const Matrix& b, Matrix* out) {
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
   out->Reset(m, n);
   // The kernel reads B row-major, so b^T is packed into this thread's
-  // scratch panel; the pool's workers only read it. Eight rows of b at a
-  // time: the reads walk them in step and each write fills eight
-  // adjacent floats of a panel row.
+  // scratch panel; the pool's workers only read it.
   thread_local std::vector<float> panel;
   panel.resize(k * n);
-  const float* bd = b.data();
-  for (size_t j0 = 0; j0 < n; j0 += 8) {
-    const size_t j1 = std::min(n, j0 + 8);
-    for (size_t p = 0; p < k; ++p) {
-      for (size_t j = j0; j < j1; ++j) panel[p * n + j] = bd[j * k + p];
-    }
-  }
+  TransposeKernel(b.data(), n, k, panel.data());
   RowSplitGemm(m, n, k, a.data(), k, 1, panel.data(), out,
                /*accumulate=*/false);
 }
@@ -170,54 +163,30 @@ void MatMulAt(const Matrix& a, const Matrix& b, Matrix* out,
   RowSplitGemm(m, n, k, a.data(), 1, m, b.data(), out, accumulate);
 }
 
-void AddRowBroadcast(Matrix* m, const float* bias) {
-  for (size_t r = 0; r < m->rows(); ++r) {
-    float* row = m->Row(r);
-    for (size_t c = 0; c < m->cols(); ++c) row[c] += bias[c];
-  }
-}
-
-std::vector<float> ColumnSums(const Matrix& m) {
-  std::vector<float> sums(m.cols(), 0.0f);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const float* row = m.Row(r);
-    for (size_t c = 0; c < m.cols(); ++c) sums[c] += row[c];
-  }
-  return sums;
-}
-
 void SoftmaxRows(const Matrix& logits, Matrix* out) {
   out->Reset(logits.rows(), logits.cols());
+  if (logits.empty()) return;
+  const size_t cols = logits.cols();
   auto rows = [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      const float* in = logits.Row(r);
-      float* o = out->Row(r);
-      float maxv = in[0];
-      for (size_t c = 1; c < logits.cols(); ++c) maxv = std::max(maxv, in[c]);
-      float sum = 0.0f;
-      for (size_t c = 0; c < logits.cols(); ++c) {
-        o[c] = std::exp(in[c] - maxv);
-        sum += o[c];
-      }
-      const float inv = 1.0f / sum;
-      for (size_t c = 0; c < logits.cols(); ++c) o[c] *= inv;
-    }
+    SoftmaxRowsKernel(logits.data() + lo * cols, out->data() + lo * cols,
+                      hi - lo, cols);
   };
   if (logits.size() < kMinParallelWork) {
     rows(0, logits.rows());
   } else {
-    ParallelFor(0, logits.rows(), RowGrain(logits.cols() * 4), rows);
+    ParallelFor(0, logits.rows(), RowGrain(cols * 4), rows);
   }
 }
 
-size_t ArgMaxRow(const Matrix& m, size_t r) {
+std::vector<int> ArgMaxRows(const Matrix& m) {
+  std::vector<int> out(m.rows());
+  if (m.rows() == 0) return out;
   ENLD_CHECK_GT(m.cols(), 0u);
-  const float* row = m.Row(r);
-  size_t best = 0;
-  for (size_t c = 1; c < m.cols(); ++c) {
-    if (row[c] > row[best]) best = c;
-  }
-  return best;
+  ParallelFor(0, m.rows(), 512, [&](size_t lo, size_t hi) {
+    ArgMaxRowsKernel(m.data() + lo * m.cols(), hi - lo, m.cols(),
+                     out.data() + lo);
+  });
+  return out;
 }
 
 }  // namespace enld

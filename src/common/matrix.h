@@ -116,18 +116,15 @@ void MatMulBt(const Matrix& a, const Matrix& b, Matrix* out);
 void MatMulAt(const Matrix& a, const Matrix& b, Matrix* out,
               bool accumulate = false);
 
-/// Adds the row vector `bias` (`m->cols()` floats) to every row of `m`.
-void AddRowBroadcast(Matrix* m, const float* bias);
-
-/// Sums the rows of `m` into a `cols()`-length vector.
-std::vector<float> ColumnSums(const Matrix& m);
-
 /// Row-wise softmax, written to `out` (resized to match `logits`).
-/// Numerically stable (max subtraction).
+/// Numerically stable (max subtraction). Runs on the row kernel
+/// (common/row_kernels.h): the scalar loop's bits on every backend and at
+/// every thread count.
 void SoftmaxRows(const Matrix& logits, Matrix* out);
 
-/// Index of the maximum element of row `r`.
-size_t ArgMaxRow(const Matrix& m, size_t r);
+/// Index of the maximum element of each row (the first on ties), rows
+/// split across the pool. Runs on the row kernel (common/row_kernels.h).
+std::vector<int> ArgMaxRows(const Matrix& m);
 
 }  // namespace enld
 

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "nn/trainer.h"
 
 namespace enld {
@@ -52,9 +51,8 @@ DetectionResult PlsDetector::Detect(const Dataset& incremental) {
   // Stage 2: refine a copy of θ on the high-confidence split, then re-judge
   // the low side with the refined model. When the split is empty (or
   // refinement is disabled) the unrefined θ judges instead.
-  Rng model_rng(config_.seed + request_counter_);
-  MlpModel refined(general_.model->layer_dims(), model_rng);
-  refined.SetWeights(general_.model->GetWeights());
+  MlpModel refined(general_.model->layer_dims(),
+                   general_.model->GetWeights());
   if (!high_positions.empty() && config_.refine_epochs > 0) {
     const Dataset seed_set = incremental.Subset(high_positions);
     TrainConfig refine;

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/telemetry/metrics.h"
 
 namespace enld {
@@ -43,12 +42,7 @@ ModelView ComputeModelView(MlpModel* model, const Dataset& dataset) {
   Matrix logits;
   model->Forward(dataset.features, &logits, &view.features);
   SoftmaxRows(logits, &view.probs);
-  view.predicted.resize(dataset.size());
-  ParallelFor(0, dataset.size(), 512, [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      view.predicted[r] = static_cast<int>(ArgMaxRow(logits, r));
-    }
-  });
+  view.predicted = ArgMaxRows(logits);
   return view;
 }
 

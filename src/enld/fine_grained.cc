@@ -234,14 +234,13 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     return compute_iprime_view();
   }();
   // One forward pass of D gives both its features and its ambiguous set.
+  // Each iteration's last voting pass refreshes them.
   Matrix d_features;
   std::vector<size_t> ambiguous;
-  auto forward_incremental = [&] {
-    if (incremental.empty()) return;
+  if (!incremental.empty()) {
     ambiguous = AmbiguousPositions(
         model->Predict(incremental.features, &d_features), incremental);
-  };
-  forward_incremental();
+  }
 
   std::vector<size_t> contrastive;
   std::vector<int> contrastive_labels;
@@ -304,7 +303,13 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
       }
       ENLD_TRACE_SPAN("detect/voting");
       votes_cast->Add(incremental.size());
-      const std::vector<int> predicted = model->Predict(incremental.features);
+      // The model does not move after the last step, so its pass also
+      // gives D's features and ambiguous set for the re-sampling below.
+      const bool refresh = step + 1 == config.steps_per_iteration &&
+                           !incremental.empty();
+      const std::vector<int> predicted = model->Predict(
+          incremental.features, refresh ? &d_features : nullptr);
+      if (refresh) ambiguous = AmbiguousPositions(predicted, incremental);
       // Each sample owns its vote slots, so the scan chunks freely.
       ParallelFor(0, incremental.size(), 1024, [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
@@ -343,7 +348,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     {
       ENLD_TRACE_SPAN("detect/inference");
       view = compute_iprime_view();
-      forward_incremental();
     }
     ambiguous_series->Append(static_cast<double>(ambiguous.size()));
     out.result.per_iteration_ambiguous.push_back(ambiguous.size());

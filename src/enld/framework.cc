@@ -68,10 +68,11 @@ DetectionResult EnldFramework::Detect(const Dataset& incremental) {
   ENLD_CHECK(model_ != nullptr);  // Setup must run first.
   ENLD_CHECK_EQ(incremental.num_classes, candidate_set_->num_classes);
 
-  // Fine-tune a copy of θ so the general model survives the request.
-  Rng model_rng = rng_.Fork();
-  MlpModel finetuned(model_->layer_dims(), model_rng);
-  finetuned.SetWeights(model_->GetWeights());
+  // Fine-tune a copy of θ so the general model survives the request. The
+  // fork keeps rng_'s stream where it was when the copy drew a throwaway
+  // He init from it.
+  rng_.Fork();
+  MlpModel finetuned(model_->layer_dims(), model_->GetWeights());
 
   FineGrainedInputs inputs;
   inputs.model = &finetuned;
@@ -173,12 +174,8 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
     return Status::InvalidArgument("degenerate (all-zero) RNG state");
   }
 
-  // Commit. The Rng used for construction is throwaway: SetWeights
-  // replaces the He initialization entirely.
-  Rng init_rng(1);
-  auto model = std::make_unique<MlpModel>(state.model_dims, init_rng);
-  model->SetWeights(state.model_weights);
-  model_ = std::move(model);
+  // Commit.
+  model_ = std::make_unique<MlpModel>(state.model_dims, state.model_weights);
   train_set_ = std::move(state.train_set);
   candidate_set_ = std::move(state.candidate_set);
   conditional_ = std::move(state.conditional);
@@ -211,10 +208,9 @@ Status EnldFramework::UpdateModel() {
   // general model so classes under-represented in S_c keep their learned
   // structure, then trained on the selected clean samples.
   const Dataset clean = candidate_set_->Subset(positions);
-  Rng model_rng = rng_.Fork();
-  auto updated = MakeBackboneModel(config_.general.backbone, clean.dim(),
-                                   clean.num_classes, model_rng);
-  updated->SetWeights(model_->GetWeights());
+  rng_.Fork();  // Keeps rng_'s stream, as in Detect.
+  auto updated =
+      std::make_unique<MlpModel>(model_->layer_dims(), model_->GetWeights());
   TrainConfig train = config_.general.train;
   train.seed = rng_.NextUInt64();
   TrainModel(updated.get(), clean, /*validation=*/nullptr, train);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/row_kernels.h"
 
 namespace enld {
 
@@ -10,7 +11,7 @@ void Layer::ZeroGrads() {
   for (ParamRef p : Params()) p.grad->Fill(0.0f);
 }
 
-LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng& rng, bool relu)
+LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, bool relu)
     : relu_(relu),
       weights_(in_dim, out_dim),
       bias_(1, out_dim, 0.0f),
@@ -18,6 +19,10 @@ LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng& rng, bool relu)
       grad_bias_(1, out_dim) {
   ENLD_CHECK_GT(in_dim, 0u);
   ENLD_CHECK_GT(out_dim, 0u);
+}
+
+LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng& rng, bool relu)
+    : LinearLayer(in_dim, out_dim, relu) {
   // He-normal: std = sqrt(2 / fan_in); suits the ReLU stacks used here.
   const double stddev = std::sqrt(2.0 / static_cast<double>(in_dim));
   for (size_t r = 0; r < in_dim; ++r) {
@@ -30,19 +35,9 @@ LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng& rng, bool relu)
 void LinearLayer::Forward(const Matrix& input, Matrix* output) {
   ENLD_CHECK_EQ(input.cols(), weights_.rows());
   MatMul(input, weights_, output);
-  if (!relu_) {
-    AddRowBroadcast(output, bias_.Row(0));
-    return;
-  }
-  // z = sum + bias, then z > 0 ? z : 0, in one pass over the product.
-  const float* bias = bias_.Row(0);
-  for (size_t r = 0; r < output->rows(); ++r) {
-    float* row = output->Row(r);
-    for (size_t c = 0; c < output->cols(); ++c) {
-      const float z = row[c] + bias[c];
-      row[c] = z > 0.0f ? z : 0.0f;
-    }
-  }
+  // z = sum + bias, with relu then z > 0 ? z : 0, in one pass.
+  AddBiasKernel(output->data(), output->rows(), output->cols(), bias_.data(),
+                relu_);
 }
 
 void LinearLayer::Backward(const Matrix& input, const Matrix& output,
@@ -53,24 +48,18 @@ void LinearLayer::Backward(const Matrix& input, const Matrix& output,
   const Matrix* grad_z = &grad_output;
   if (relu_) {
     // dZ = dY where z > 0, else 0. The output is > 0 at exactly those
-    // elements (a NaN or -0 z gave +0), and reading go[i] unconditionally
-    // lets the loop vectorize as a compare and a blend.
+    // elements (a NaN or -0 z gave +0).
     ENLD_CHECK_EQ(output.rows(), grad_output.rows());
     ENLD_CHECK_EQ(output.cols(), grad_output.cols());
     masked_grad_.Reset(grad_output.rows(), grad_output.cols());
-    const float* go = grad_output.data();
-    const float* out = output.data();
-    float* gz = masked_grad_.data();
-    for (size_t i = 0; i < grad_output.size(); ++i) {
-      const float g = go[i];
-      gz[i] = out[i] > 0.0f ? g : 0.0f;
-    }
+    ReluMaskKernel(output.data(), grad_output.data(), masked_grad_.data(),
+                   grad_output.size());
     grad_z = &masked_grad_;
   }
   // dW += X^T * dZ; db += colsum(dZ); dX = dZ * W^T.
   MatMulAt(input, *grad_z, &grad_weights_, /*accumulate=*/true);
-  const std::vector<float> db = ColumnSums(*grad_z);
-  for (size_t c = 0; c < db.size(); ++c) grad_bias_(0, c) += db[c];
+  AddColumnSumsKernel(grad_z->data(), grad_z->rows(), grad_z->cols(),
+                      grad_bias_.data());
   if (grad_input != nullptr) MatMulBt(*grad_z, weights_, grad_input);
 }
 

@@ -46,10 +46,15 @@ class Layer {
 
 /// Fully connected layer: output = input * W + b, or with `relu`
 /// max(input * W + b, 0) — Linear+ReLU in one pass over the product.
-/// W is (in x out); b is (1 x out). He-normal initialization.
+/// W is (in x out); b is (1 x out).
 class LinearLayer : public Layer {
  public:
+  /// He-normal weights drawn from `rng`, zero bias.
   LinearLayer(size_t in_dim, size_t out_dim, Rng& rng, bool relu = false);
+
+  /// Zero weights and bias, no draws: for a caller that sets the
+  /// parameters next (MlpModel's weights-only constructor).
+  LinearLayer(size_t in_dim, size_t out_dim, bool relu);
 
   void Forward(const Matrix& input, Matrix* output) override;
   void Backward(const Matrix& input, const Matrix& output,

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/row_kernels.h"
 
 namespace enld {
 
@@ -23,36 +24,17 @@ double SoftmaxCrossEntropy(const Matrix& logits, const Matrix& targets,
   ENLD_CHECK_EQ(logits.cols(), targets.cols());
   ENLD_CHECK_GT(logits.rows(), 0u);
 
-  Matrix probs;
-  SoftmaxRows(logits, &probs);
-
+  // The softmax goes straight into the gradient's storage, and one pass
+  // turns it into d(mean CE)/d(logits) = (softmax - target) / n while it
+  // sums the loss.
+  Matrix probs;  // Used only when the caller wants no gradient.
+  Matrix* work = grad_logits != nullptr ? grad_logits : &probs;
+  SoftmaxRows(logits, work);
   const size_t n = logits.rows();
-  const size_t c = logits.cols();
-  double total = 0.0;
-  for (size_t r = 0; r < n; ++r) {
-    const float* p = probs.Row(r);
-    const float* t = targets.Row(r);
-    for (size_t j = 0; j < c; ++j) {
-      if (t[j] > 0.0f) {
-        total -= static_cast<double>(t[j]) *
-                 std::log(std::max(static_cast<double>(p[j]), 1e-12));
-      }
-    }
-  }
-  const double mean_loss = total / static_cast<double>(n);
-
-  if (grad_logits != nullptr) {
-    // d(mean CE)/d(logits) = (softmax - target) / n.
-    grad_logits->Reset(n, c);
-    const float inv_n = 1.0f / static_cast<float>(n);
-    for (size_t r = 0; r < n; ++r) {
-      const float* p = probs.Row(r);
-      const float* t = targets.Row(r);
-      float* g = grad_logits->Row(r);
-      for (size_t j = 0; j < c; ++j) g[j] = (p[j] - t[j]) * inv_n;
-    }
-  }
-  return mean_loss;
+  const double total =
+      CrossEntropyGradKernel(work->data(), targets.data(), n, logits.cols(),
+                             1.0f / static_cast<float>(n));
+  return total / static_cast<double>(n);
 }
 
 double SoftmaxCrossEntropy(const Matrix& logits,

@@ -1,7 +1,6 @@
 #include "nn/mlp.h"
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -10,21 +9,37 @@ namespace enld {
 MlpModel::MlpModel(const std::vector<size_t>& layer_dims, Rng& rng,
                    double dropout_rate)
     : layer_dims_(layer_dims), dropout_rate_(dropout_rate) {
-  ENLD_CHECK_GE(layer_dims_.size(), 3u);  // input, >=1 hidden, classes.
-  for (size_t d : layer_dims_) ENLD_CHECK_GT(d, 0u);
   ENLD_CHECK_GE(dropout_rate, 0.0);
   ENLD_CHECK_LT(dropout_rate, 1.0);
-  // Linear+ReLU (+Dropout) per hidden layer, then the classifier Linear.
+  BuildLayers(&rng);
+}
+
+MlpModel::MlpModel(const std::vector<size_t>& layer_dims,
+                   const std::vector<float>& weights)
+    : layer_dims_(layer_dims) {
+  BuildLayers(nullptr);
+  SetWeights(weights);
+}
+
+void MlpModel::BuildLayers(Rng* rng) {
+  ENLD_CHECK_GE(layer_dims_.size(), 3u);  // input, >=1 hidden, classes.
+  for (size_t d : layer_dims_) ENLD_CHECK_GT(d, 0u);
+  auto linear = [&](size_t i, bool relu) -> std::unique_ptr<Layer> {
+    if (rng == nullptr) {
+      return std::make_unique<LinearLayer>(layer_dims_[i],
+                                           layer_dims_[i + 1], relu);
+    }
+    return std::make_unique<LinearLayer>(layer_dims_[i], layer_dims_[i + 1],
+                                         *rng, relu);
+  };
   for (size_t i = 0; i + 2 < layer_dims_.size(); ++i) {
-    layers_.push_back(std::make_unique<LinearLayer>(
-        layer_dims_[i], layer_dims_[i + 1], rng, /*relu=*/true));
+    layers_.push_back(linear(i, /*relu=*/true));
     if (dropout_rate_ > 0.0) {
       layers_.push_back(
-          std::make_unique<DropoutLayer>(dropout_rate_, rng.NextUInt64()));
+          std::make_unique<DropoutLayer>(dropout_rate_, rng->NextUInt64()));
     }
   }
-  layers_.push_back(std::make_unique<LinearLayer>(
-      layer_dims_[layer_dims_.size() - 2], layer_dims_.back(), rng));
+  layers_.push_back(linear(layer_dims_.size() - 2, /*relu=*/false));
   activations_.resize(layers_.size());
 }
 
@@ -65,13 +80,7 @@ Matrix MlpModel::Features(const Matrix& inputs) {
 std::vector<int> MlpModel::Predict(const Matrix& inputs, Matrix* features) {
   Matrix logits;
   Forward(inputs, &logits, features);
-  std::vector<int> out(inputs.rows());
-  ParallelFor(0, inputs.rows(), 512, [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      out[r] = static_cast<int>(ArgMaxRow(logits, r));
-    }
-  });
-  return out;
+  return ArgMaxRows(logits);
 }
 
 double MlpModel::TrainStep(const Matrix& inputs, const Matrix& soft_targets,

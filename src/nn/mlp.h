@@ -26,6 +26,13 @@ class MlpModel {
   MlpModel(const std::vector<size_t>& layer_dims, Rng& rng,
            double dropout_rate = 0.0);
 
+  /// A model of `layer_dims` holding `weights` (a GetWeights() of that
+  /// architecture), built without drawing an initialization; no dropout.
+  /// Same weights, hence same outputs, as constructing from an Rng and
+  /// then calling SetWeights.
+  MlpModel(const std::vector<size_t>& layer_dims,
+           const std::vector<float>& weights);
+
   MlpModel(const MlpModel&) = delete;
   MlpModel& operator=(const MlpModel&) = delete;
 
@@ -66,6 +73,9 @@ class MlpModel {
   std::vector<ParamRef> Params();
 
  private:
+  /// Linear(+ReLU) (+Dropout) per hidden layer, then the classifier
+  /// Linear; He-initialized from `rng`, or zeroed when it is null.
+  void BuildLayers(Rng* rng);
   void SetTraining(bool training);
 
   std::vector<size_t> layer_dims_;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/row_kernels.h"
 
 namespace enld {
 
@@ -24,13 +25,7 @@ void SgdOptimizer::Step(const std::vector<ParamRef>& params) {
     Matrix& v = velocity_[i];
     ENLD_CHECK_EQ(w.size(), v.size());
     ENLD_CHECK_EQ(w.size(), g.size());
-    float* wp = w.data();
-    float* gp = g.data();
-    float* vp = v.data();
-    for (size_t j = 0; j < w.size(); ++j) {
-      vp[j] = mu * vp[j] - lr * (gp[j] + wd * wp[j]);
-      wp[j] += vp[j];
-    }
+    SgdKernel(w.data(), v.data(), g.data(), w.size(), lr, mu, wd);
   }
 }
 

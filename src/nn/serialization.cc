@@ -5,7 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/rng.h"
 
 namespace enld {
 
@@ -167,10 +166,7 @@ StatusOr<ModelFile> LoadModelFile(const std::string& path) {
 StatusOr<std::unique_ptr<MlpModel>> ModelFromFile(const ModelFile& file) {
   ENLD_RETURN_IF_ERROR(
       ValidateDimsAndWeights(file.dims, file.weights.size()));
-  Rng rng(0);  // Immediately overwritten by SetWeights.
-  auto model = std::make_unique<MlpModel>(file.dims, rng);
-  model->SetWeights(file.weights);
-  return model;
+  return std::make_unique<MlpModel>(file.dims, file.weights);
 }
 
 StatusOr<std::unique_ptr<MlpModel>> LoadModel(const std::string& path) {

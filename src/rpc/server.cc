@@ -147,13 +147,14 @@ Status RpcServer::Start() {
 
   pipeline_ = std::make_unique<RequestPipeline>(platform_, config_.pipeline);
   uptime_.Restart();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ =
+      std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return Status::OK();
 }
 
-void RpcServer::AcceptLoop() {
+void RpcServer::AcceptLoop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) {
@@ -441,13 +442,14 @@ Status RpcServer::Shutdown() {
   }
 
   if (listen_fd_ >= 0) {
-    // Closing the listen socket unblocks accept(); the loop then sees
-    // stopping_ and exits.
+    // shutdown() wakes the blocked accept(); the loop then sees stopping_
+    // and exits. The fd is closed only after the join, so its number
+    // cannot be reused while the loop may still accept on it.
     ::shutdown(listen_fd_, SHUT_RDWR);
+    if (accept_thread_.joinable()) accept_thread_.join();
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   {
     // Unblock handlers parked in recv(); they close their own fds.

@@ -137,7 +137,9 @@ class RpcServer {
   static constexpr size_t kMaxConnectionSummaries = 1024;
 
  private:
-  void AcceptLoop();
+  /// Accepts on `listen_fd` until Shutdown. The fd comes by value:
+  /// listen_fd_ belongs to the thread that runs Start and Shutdown.
+  void AcceptLoop(int listen_fd);
   void ServeConnection(int fd, uint64_t connection_id);
   /// Handles one verified detect-request frame on `fd`. `received` started
   /// when the frame was fully read — its elapsed time at response write is

@@ -400,24 +400,6 @@ TEST(MatMulTest, NonFinitePropagatesIdenticallyInParallelPath) {
   }
 }
 
-TEST(MatrixOpsTest, AddRowBroadcast) {
-  Matrix m(2, 3, 1.0f);
-  const float bias[3] = {1.0f, 2.0f, 3.0f};
-  AddRowBroadcast(&m, bias);
-  EXPECT_EQ(m(0, 0), 2.0f);
-  EXPECT_EQ(m(1, 2), 4.0f);
-}
-
-TEST(MatrixOpsTest, ColumnSums) {
-  Matrix m(2, 2);
-  m(0, 0) = 1.0f;
-  m(1, 0) = 2.0f;
-  m(0, 1) = -1.0f;
-  const auto sums = ColumnSums(m);
-  EXPECT_FLOAT_EQ(sums[0], 3.0f);
-  EXPECT_FLOAT_EQ(sums[1], -1.0f);
-}
-
 TEST(SoftmaxTest, RowsSumToOne) {
   Rng rng(5);
   const Matrix logits = RandomMatrix(10, 7, rng);
@@ -450,16 +432,14 @@ TEST(SoftmaxTest, PreservesArgMax) {
   const Matrix logits = RandomMatrix(20, 5, rng);
   Matrix probs;
   SoftmaxRows(logits, &probs);
-  for (size_t r = 0; r < logits.rows(); ++r) {
-    EXPECT_EQ(ArgMaxRow(logits, r), ArgMaxRow(probs, r));
-  }
+  EXPECT_EQ(ArgMaxRows(logits), ArgMaxRows(probs));
 }
 
 TEST(ArgMaxTest, PicksFirstMaximum) {
   Matrix m(1, 4);
   m(0, 1) = 5.0f;
   m(0, 3) = 5.0f;
-  EXPECT_EQ(ArgMaxRow(m, 0), 1u);
+  EXPECT_EQ(ArgMaxRows(m), std::vector<int>{1});
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/noise.h"
 #include "enld/framework.h"
+#include "enld/sample_sets.h"
 #include "eval/metrics.h"
 #include "nn/confident_joint.h"
 #include "test_util.h"
@@ -39,21 +41,24 @@ class FineGrainedTest : public ::testing::Test {
   }
 
   /// Runs fine-grained detection on incremental dataset `idx` with `config`
-  /// against a fresh copy of the general model.
+  /// against a fresh copy of the general model; `final_weights`, when
+  /// given, receives the copy's weights after the run.
   FineGrainedOutputs Run(const EnldConfig& config, size_t idx = 0,
-                         const Dataset* override_data = nullptr) {
+                         const Dataset* override_data = nullptr,
+                         std::vector<float>* final_weights = nullptr) {
     const Dataset& data =
         override_data != nullptr ? *override_data : workload_->incremental[idx];
-    Rng model_rng(1234);
-    MlpModel finetuned(general_->model->layer_dims(), model_rng);
-    finetuned.SetWeights(general_->model->GetWeights());
+    MlpModel finetuned(general_->model->layer_dims(),
+                       general_->model->GetWeights());
     FineGrainedInputs inputs;
     inputs.model = &finetuned;
     inputs.incremental = &data;
     inputs.candidate = &general_->candidate_set;
     inputs.conditional = conditional_;
     Rng rng(config.seed);
-    return FineGrainedDetect(inputs, config, rng);
+    FineGrainedOutputs out = FineGrainedDetect(inputs, config, rng);
+    if (final_weights != nullptr) *final_weights = finetuned.GetWeights();
+    return out;
   }
 
   static EnldConfig FastConfig() {
@@ -112,6 +117,24 @@ TEST_F(FineGrainedTest, AmbiguousCountShrinks) {
   const FineGrainedOutputs out = Run(config);
   EXPECT_LE(out.result.per_iteration_ambiguous.back(),
             out.result.per_iteration_ambiguous.front());
+}
+
+/// Each iteration's ambiguous set comes from its last voting pass: the
+/// model does not move after it, so the last iteration's |A| is that of the
+/// model the run ends with. Increment 2 is one whose |A| moves while the
+/// model fine-tunes.
+TEST_F(FineGrainedTest, AmbiguousSetComesFromTheIterationsFinalModel) {
+  for (size_t iterations : {size_t{1}, size_t{2}, size_t{3}}) {
+    EnldConfig config = FastConfig();
+    config.iterations = iterations;
+    std::vector<float> weights;
+    const FineGrainedOutputs out = Run(config, 2, nullptr, &weights);
+    const Dataset& d = workload_->incremental[2];
+    MlpModel final_model(general_->model->layer_dims(), weights);
+    EXPECT_EQ(out.result.per_iteration_ambiguous.back(),
+              AmbiguousPositions(&final_model, d).size())
+        << "iterations=" << iterations;
+  }
 }
 
 TEST_F(FineGrainedTest, DetectionBeatsChance) {

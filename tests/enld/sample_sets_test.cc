@@ -118,10 +118,7 @@ TEST(ConfidenceFilterTest, StrictnessShrinksSelection) {
   s.model->Forward(s.data.features, &logits, &features);
   Matrix probs;
   SoftmaxRows(logits, &probs);
-  std::vector<int> predicted(s.data.size());
-  for (size_t r = 0; r < s.data.size(); ++r) {
-    predicted[r] = static_cast<int>(ArgMaxRow(logits, r));
-  }
+  const std::vector<int> predicted = ArgMaxRows(logits);
   const auto hq = HighQualityPositions(s.model.get(), s.data);
   const auto relaxed =
       FilterHighQualityByConfidence(probs, predicted, hq, 1.0);

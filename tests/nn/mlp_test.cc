@@ -75,25 +75,37 @@ TEST(MlpModelTest, PredictMatchesProbabilitiesArgmax) {
   for (size_t i = 0; i < inputs.size(); ++i) {
     inputs.data()[i] = static_cast<float>(data_rng.Gaussian());
   }
-  const auto predicted = model.Predict(inputs);
-  const Matrix probs = model.Probabilities(inputs);
-  for (size_t r = 0; r < inputs.rows(); ++r) {
-    EXPECT_EQ(predicted[r], static_cast<int>(ArgMaxRow(probs, r)));
-  }
+  EXPECT_EQ(model.Predict(inputs), ArgMaxRows(model.Probabilities(inputs)));
 }
 
+/// SetWeights on a model of another init, and the weights-only
+/// constructor, both give back the same weights and the same Forward bits.
 TEST(MlpModelTest, WeightsRoundTrip) {
   Rng rng(7);
-  MlpModel a({4, 8, 3}, rng);
+  MlpModel a({4, 8, 6, 3}, rng);
   Rng rng2(99);
-  MlpModel b({4, 8, 3}, rng2);
-
-  Matrix inputs(3, 4, 0.7f);
-  const auto pa = a.Probabilities(inputs);
+  MlpModel b({4, 8, 6, 3}, rng2);
   b.SetWeights(a.GetWeights());
-  const auto pb = b.Probabilities(inputs);
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa.data()[i], pb.data()[i]);
+  MlpModel c({4, 8, 6, 3}, a.GetWeights());
+  EXPECT_EQ(b.GetWeights(), a.GetWeights());
+  EXPECT_EQ(c.GetWeights(), a.GetWeights());
+  EXPECT_EQ(c.layer_dims(), a.layer_dims());
+  EXPECT_EQ(c.dropout_rate(), 0.0);
+
+  Matrix inputs(5, 4);
+  Rng data_rng(8);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs.data()[i] = static_cast<float>(data_rng.Gaussian());
+  }
+  Matrix la, fa;
+  a.Forward(inputs, &la, &fa);
+  for (MlpModel* other : {&b, &c}) {
+    Matrix lo, fo;
+    other->Forward(inputs, &lo, &fo);
+    ASSERT_EQ(lo.size(), la.size());
+    ASSERT_EQ(fo.size(), fa.size());
+    EXPECT_EQ(std::memcmp(lo.data(), la.data(), la.size() * sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(fo.data(), fa.data(), fa.size() * sizeof(float)), 0);
   }
 }
 
