@@ -93,16 +93,11 @@ int main(int argc, char** argv) {
   // the --telemetry_out report and the serving /stats endpoint).
   auto& registry = telemetry::MetricsRegistry::Global();
   std::printf(
-      "feature cache: view %llu hits / %llu misses, index %llu hits / "
-      "%llu misses, %llu invalidations\n",
+      "feature cache: view %llu hits / %llu misses, %llu invalidations\n",
       static_cast<unsigned long long>(
           registry.GetCounter("cache/view_hits")->Value()),
       static_cast<unsigned long long>(
           registry.GetCounter("cache/view_misses")->Value()),
-      static_cast<unsigned long long>(
-          registry.GetCounter("cache/index_hits")->Value()),
-      static_cast<unsigned long long>(
-          registry.GetCounter("cache/index_misses")->Value()),
       static_cast<unsigned long long>(
           registry.GetCounter("cache/invalidations")->Value()));
 

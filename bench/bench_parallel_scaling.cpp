@@ -17,8 +17,7 @@
 //                     per-point loop (common/distance.h);
 //   detect_stream   — a multi-request detection stream with the
 //                     FeatureCache on vs off at 1 and 4 threads, asserting
-//                     byte-identical partitions and fewer knn/trees_built
-//                     with the cache on.
+//                     byte-identical partitions.
 //
 // Speedups depend on the host: on a single-core container every row is
 // ~1.0x. ENLD_THREADS is ignored here (thread counts are swept in-process).
@@ -186,7 +185,6 @@ struct StreamRun {
   double seconds = 0.0;
   uint64_t trees_built = 0;
   uint64_t view_hits = 0;
-  uint64_t index_hits = 0;
   std::vector<std::vector<size_t>> clean;
   std::vector<std::vector<size_t>> noisy;
 };
@@ -194,9 +192,8 @@ struct StreamRun {
 /// A short multi-request detection stream against one framework, with the
 /// FeatureCache forced on or off. The stream runs two passes over the
 /// incremental datasets — the second pass replays each request, the
-/// pattern the store's quarantine-replay ops produce — so the index cache
-/// gets same-pool repeats to hit on. Counts the KD-trees built during the
-/// Detect calls via the exact knn/trees_built counter.
+/// pattern the store's quarantine-replay ops produce. Counts the KD-trees
+/// built during the Detect calls via the exact knn/trees_built counter.
 StreamRun TimeDetectStream(bool use_cache) {
   WorkloadConfig config =
       PaperWorkloadConfig(PaperDataset::kEmnist, /*noise_rate=*/0.2);
@@ -223,7 +220,6 @@ StreamRun TimeDetectStream(bool use_cache) {
   run.seconds = watch.ElapsedSeconds();
   run.trees_built = trees_built->Value() - before;
   run.view_hits = enld.feature_cache().stats().view_hits;
-  run.index_hits = enld.feature_cache().stats().index_hits;
   return run;
 }
 
@@ -280,15 +276,15 @@ int main() {
   std::printf("\n");
   const double kernel_speedup = PrintDistanceKernelTable();
 
-  // FeatureCache on/off at 1 and 4 threads: same partitions, fewer trees.
+  // FeatureCache on/off at 1 and 4 threads: same partitions.
   struct Combo {
     size_t threads;
     bool cache;
   };
   const Combo combos[] = {{1, true}, {1, false}, {4, true}, {4, false}};
   std::vector<StreamRun> stream_runs;
-  TablePrinter cache_table({"config", "threads", "seconds",
-                            "knn_trees_built", "view_hits", "index_hits"});
+  TablePrinter cache_table(
+      {"config", "threads", "seconds", "knn_trees_built", "view_hits"});
   for (const Combo& combo : combos) {
     SetParallelThreads(combo.threads);
     StreamRun run = TimeDetectStream(combo.cache);
@@ -296,8 +292,7 @@ int main() {
                         TablePrinter::Num(combo.threads, 0),
                         TablePrinter::Num(run.seconds, 4),
                         TablePrinter::Num(run.trees_built, 0),
-                        TablePrinter::Num(run.view_hits, 0),
-                        TablePrinter::Num(run.index_hits, 0)});
+                        TablePrinter::Num(run.view_hits, 0)});
     stream_runs.push_back(std::move(run));
   }
   SetParallelThreads(0);
@@ -310,16 +305,9 @@ int main() {
                       stream_runs[i].clean == stream_runs[0].clean &&
                       stream_runs[i].noisy == stream_runs[0].noisy;
   }
-  const bool fewer_trees =
-      stream_runs[0].trees_built < stream_runs[1].trees_built &&
-      stream_runs[2].trees_built < stream_runs[3].trees_built;
   std::printf(
       "\ncache on/off byte-identity at 1 and 4 threads: %s\n"
-      "cache builds fewer KD-trees: %s (on=%llu off=%llu)\n"
       "distance kernel speedup vs scalar loop: %.2fx\n",
-      cache_identical ? "PASS" : "FAIL", fewer_trees ? "PASS" : "FAIL",
-      static_cast<unsigned long long>(stream_runs[0].trees_built),
-      static_cast<unsigned long long>(stream_runs[1].trees_built),
-      kernel_speedup);
-  return identical && cache_identical && fewer_trees ? 0 : 1;
+      cache_identical ? "PASS" : "FAIL", kernel_speedup);
+  return identical && cache_identical ? 0 : 1;
 }

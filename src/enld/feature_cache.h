@@ -2,12 +2,10 @@
 #define ENLD_ENLD_FEATURE_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/matrix.h"
 #include "data/dataset.h"
-#include "knn/class_index.h"
 #include "nn/mlp.h"
 
 namespace enld {
@@ -33,26 +31,17 @@ ModelView ComputeModelView(MlpModel* model, const Dataset& dataset);
 /// (see the row-independence note on ComputeModelView).
 ModelView SelectViewRows(const ModelView& full, const std::vector<size_t>& rows);
 
-/// FNV-1a fingerprint of a position list — the pool key under which cached
-/// KNN indexes are stored. Distinguishes the empty list from "no key".
-uint64_t FingerprintPositions(const std::vector<size_t>& positions);
-
 /// Cross-request memo for the fine-grained hot path (Algorithm 3): the
 /// candidate inventory I_c is fixed between trainer updates, yet every
-/// request used to recompute its full forward pass and rebuild every
-/// per-class KD-tree. The cache keeps
-///   - the full candidate-set ModelView, keyed on the model version, and
-///   - a small LRU set of ClassKnnIndexes, keyed on (model version,
-///     pool key), sized so a replayed request stream (the store's
-///     quarantine-replay pattern) still hits after unrelated requests ran
-///     in between,
-/// where the model version is a counter bumped only by trainer updates
-/// (EnldFramework::Setup / UpdateModel / RestoreState, or an explicit
-/// InvalidateFeatureCache). Fine-grained detection consults the cache only
-/// while its per-request model copy is still at the cached version — the
-/// first fine-tune step marks it dirty and everything recomputes — so
-/// detection output is bitwise identical with the cache on or off
-/// (docs/ARCHITECTURE.md, "FeatureCache invalidation contract").
+/// request used to recompute its full forward pass. The cache keeps the
+/// full candidate-set ModelView, keyed on the model version — a counter
+/// bumped only by trainer updates (EnldFramework::Setup / UpdateModel /
+/// RestoreState, or an explicit InvalidateFeatureCache). Fine-grained
+/// detection consults the cache only while its per-request model copy is
+/// still at the cached version — the first fine-tune step marks it dirty
+/// and everything recomputes — so detection output is bitwise identical
+/// with the cache on or off (docs/ARCHITECTURE.md, "FeatureCache
+/// invalidation contract").
 ///
 /// Not thread-safe: the request pipeline serializes detections through a
 /// single dispatcher, and the framework owns exactly one cache.
@@ -61,8 +50,6 @@ class FeatureCache {
   struct Stats {
     uint64_t view_hits = 0;
     uint64_t view_misses = 0;
-    uint64_t index_hits = 0;
-    uint64_t index_misses = 0;
     uint64_t invalidations = 0;
   };
 
@@ -71,8 +58,8 @@ class FeatureCache {
   /// Current model version. Entries are only served at this version.
   uint64_t model_version() const { return model_version_; }
 
-  /// Invalidates everything: bumps the version and drops cached entries.
-  /// Counts an invalidation only when entries were actually dropped.
+  /// Invalidates everything: bumps the version and drops the cached view.
+  /// Counts an invalidation only when a view was actually dropped.
   void BumpModelVersion();
 
   /// Cached full candidate view for `version`, or nullptr. Counts hit/miss.
@@ -82,36 +69,13 @@ class FeatureCache {
   /// stable pointer to the stored copy.
   const ModelView* StoreView(uint64_t version, ModelView view);
 
-  /// Cached index for (version, pool_key), or nullptr. A hit moves the
-  /// entry to most-recently-used. Counts hit/miss.
-  std::shared_ptr<const ClassKnnIndex> FindIndex(uint64_t version,
-                                                 uint64_t pool_key);
-
-  /// Stores an index, evicting the least-recently-used entry once
-  /// kMaxIndexEntries are held.
-  void StoreIndex(uint64_t version, uint64_t pool_key,
-                  std::shared_ptr<const ClassKnnIndex> index);
-
   const Stats& stats() const { return stats_; }
 
-  /// Index slots: enough that a replayed batch of incremental datasets
-  /// (typically single digits per trainer epoch) still hits.
-  static constexpr size_t kMaxIndexEntries = 8;
-
  private:
-  struct IndexEntry {
-    uint64_t version = 0;
-    uint64_t pool_key = 0;
-    std::shared_ptr<const ClassKnnIndex> index;
-  };
-
-  bool HoldsEntries() const;
-
   uint64_t model_version_ = 1;
   bool has_view_ = false;
   uint64_t view_version_ = 0;
   ModelView view_;
-  std::vector<IndexEntry> indexes_;  // Most-recently-used last.
   Stats stats_;
 };
 

@@ -121,7 +121,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
   const uint64_t base_version =
       cache != nullptr ? cache->model_version() : 0;
   bool model_at_base = cache != nullptr;
-  const uint64_t pool_key = FingerprintPositions(iprime_positions);
 
   // Model view over I'. On the cached path, compute (or reuse) the full
   // candidate view once and select the I' rows out of it — bitwise
@@ -171,25 +170,11 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
         // pool instead of training on an empty contrastive set. The
         // condition is a deterministic function of the data, so a degraded
         // run is still reproducible.
-        // The index is shareable across requests whenever the model is
-        // still at the cached version and I' has the same positions: its
-        // other inputs (high_quality, labels) are deterministic functions
-        // of the cached view and the fixed candidate set.
-        std::shared_ptr<const ClassKnnIndex> index;
-        if (model_at_base) {
-          index = cache->FindIndex(base_version, pool_key);
-        }
         try {
-          if (index == nullptr) {
-            index = std::make_shared<const ClassKnnIndex>(
-                view.features, iprime.observed_labels, high_quality,
-                iprime.num_classes);
-            if (model_at_base) {
-              cache->StoreIndex(base_version, pool_key, index);
-            }
-          }
+          const ClassKnnIndex index(view.features, iprime.observed_labels,
+                                    high_quality, iprime.num_classes);
           *picks = ContrastiveSampling(
-              incremental, ambiguous, ambiguous_features, *index,
+              incremental, ambiguous, ambiguous_features, index,
               *inputs.conditional, config.contrastive_k,
               config.ablation.use_probability_label, rng);
         } catch (const std::exception&) {

@@ -3,19 +3,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <vector>
-
 
 namespace enld {
 
 namespace {
 
-/// Legacy format: no byte-order tag, documented as little-endian.
-constexpr char kMagicV1[8] = {'E', 'N', 'L', 'D', 'M', 'D', 'L', '1'};
-/// Current format: a host-order tag follows the magic, so a reader on a
-/// machine with different endianness sees the byte-swapped value and
-/// rejects the file instead of loading garbage weights.
-constexpr char kMagicV2[8] = {'E', 'N', 'L', 'D', 'M', 'D', 'L', '2'};
+/// A host-order tag follows the magic, so a reader on a machine with
+/// different endianness sees the byte-swapped value and rejects the file
+/// instead of loading garbage weights.
+constexpr char kMagic[8] = {'E', 'N', 'L', 'D', 'M', 'D', 'L', '2'};
 constexpr uint32_t kByteOrderTag = 0x01020304u;
 
 /// RAII file handle.
@@ -72,10 +71,10 @@ void AppendRaw(std::string* out, const T& value) {
 
 std::string EncodeModelFile(const ModelFile& file) {
   std::string out;
-  out.reserve(sizeof(kMagicV2) + sizeof(kByteOrderTag) +
+  out.reserve(sizeof(kMagic) + sizeof(kByteOrderTag) +
               (file.dims.size() + 2) * sizeof(uint64_t) +
               file.weights.size() * sizeof(float));
-  out.append(kMagicV2, sizeof(kMagicV2));
+  out.append(kMagic, sizeof(kMagic));
   AppendRaw(&out, kByteOrderTag);
   AppendRaw(&out, static_cast<uint64_t>(file.dims.size()));
   for (size_t d : file.dims) AppendRaw(&out, static_cast<uint64_t>(d));
@@ -109,58 +108,68 @@ Status SaveModel(const MlpModel& model, const std::string& path) {
   return SaveModelFile(file, path);
 }
 
-StatusOr<ModelFile> LoadModelFile(const std::string& path) {
-  File file(path, "rb");
-  if (!file.ok()) {
-    return Status::NotFound("cannot open for reading: " + path);
+StatusOr<ModelFile> DecodeModelFile(std::string_view data) {
+  if (data.substr(0, sizeof(kMagic)) !=
+      std::string_view(kMagic, sizeof(kMagic))) {
+    return Status::InvalidArgument("not an ENLD model file");
   }
-
-  char magic[sizeof(kMagicV2)];
-  if (std::fread(magic, 1, sizeof(magic), file.get()) != sizeof(magic)) {
-    return Status::InvalidArgument("not an ENLD model file: " + path);
+  // Host-order reads, the mirror of AppendRaw.
+  data.remove_prefix(sizeof(kMagic));
+  auto read = [&data](void* out, size_t size) {
+    if (data.size() < size) return false;
+    std::memcpy(out, data.data(), size);
+    data.remove_prefix(size);
+    return true;
+  };
+  uint32_t tag = 0;
+  if (!read(&tag, sizeof(tag))) {
+    return Status::InvalidArgument("truncated byte-order tag");
   }
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    uint32_t tag = 0;
-    if (std::fread(&tag, sizeof(tag), 1, file.get()) != 1) {
-      return Status::InvalidArgument("truncated byte-order tag");
-    }
-    if (tag != kByteOrderTag) {
-      return Status::InvalidArgument(
-          "model file byte order does not match this machine "
-          "(written on a foreign-endian host?)");
-    }
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
-    return Status::InvalidArgument("not an ENLD model file: " + path);
+  if (tag != kByteOrderTag) {
+    return Status::InvalidArgument(
+        "model file byte order does not match this machine "
+        "(written on a foreign-endian host?)");
   }
-  // Legacy v1 files carry no tag and were always written little-endian in
-  // practice; they keep loading unchanged.
-
   uint64_t num_dims = 0;
-  if (std::fread(&num_dims, sizeof(num_dims), 1, file.get()) != 1 ||
-      num_dims < 3 || num_dims > 64) {
+  if (!read(&num_dims, sizeof(num_dims)) || num_dims < 3 || num_dims > 64) {
     return Status::InvalidArgument("corrupt layer-dimension header");
   }
   ModelFile out;
   out.dims.resize(num_dims);
   for (auto& d : out.dims) {
     uint64_t v = 0;
-    if (std::fread(&v, sizeof(v), 1, file.get()) != 1 || v == 0 ||
-        v > (1u << 24)) {
+    if (!read(&v, sizeof(v)) || v == 0 || v > (1u << 24)) {
       return Status::InvalidArgument("corrupt layer dimension");
     }
     d = static_cast<size_t>(v);
   }
   uint64_t count = 0;
-  if (std::fread(&count, sizeof(count), 1, file.get()) != 1) {
+  if (!read(&count, sizeof(count))) {
     return Status::InvalidArgument("missing weight count");
   }
   ENLD_RETURN_IF_ERROR(ValidateDimsAndWeights(out.dims, count));
-  out.weights.resize(count);
-  if (std::fread(out.weights.data(), sizeof(float), out.weights.size(),
-                 file.get()) != out.weights.size()) {
-    return Status::InvalidArgument("truncated weights");
+  if (data.size() != count * sizeof(float)) {
+    return Status::InvalidArgument(
+        "weight section holds " + std::to_string(data.size()) +
+        " bytes, the layers need " + std::to_string(count) + " floats");
   }
+  out.weights.resize(count);
+  read(out.weights.data(), data.size());
   return out;
+}
+
+StatusOr<ModelFile> LoadModelFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open for reading: " + path);
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  if (in.bad()) return Status::Internal("read error: " + path);
+  StatusOr<ModelFile> model = DecodeModelFile(data);
+  if (!model.ok()) {
+    return Status(model.status().code(),
+                  model.status().message() + " [" + path + "]");
+  }
+  return model;
 }
 
 StatusOr<std::unique_ptr<MlpModel>> ModelFromFile(const ModelFile& file) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -19,8 +20,8 @@ struct ModelFile {
   std::vector<float> weights;
 };
 
-/// Writes the model architecture and weights to a binary file. The
-/// current format ("ENLDMDL2" magic) carries an explicit byte-order tag:
+/// Writes the model architecture and weights to a binary file. The format
+/// ("ENLDMDL2" magic) carries an explicit byte-order tag:
 /// payloads are written in host order and the tag records what that was,
 /// so a file from a foreign-endian machine is rejected with
 /// InvalidArgument instead of being silently misread. Overwrites an
@@ -33,12 +34,14 @@ Status SaveModelFile(const ModelFile& file, const std::string& path);
 /// them through their own durable path, like the snapshot store.
 std::string EncodeModelFile(const ModelFile& file);
 
-/// Reads a model written by SaveModel / SaveModelFile. Both the current
-/// "ENLDMDL2" format and the legacy tag-less "ENLDMDL1" format (assumed
-/// little-endian, as documented when it was introduced) are accepted.
-/// Fails with InvalidArgument on format problems — including a byte-order
-/// tag that does not match this machine — and NotFound when the file
-/// cannot be opened.
+/// The inverse of EncodeModelFile. Fails with InvalidArgument on any
+/// format problem — a wrong magic (including the tag-less "ENLDMDL1"), a
+/// byte-order tag that does not match this machine, layer dimensions out
+/// of range, or a weight count the bytes do not hold exactly.
+StatusOr<ModelFile> DecodeModelFile(std::string_view data);
+
+/// Reads a model written by SaveModel / SaveModelFile: one read of the
+/// file plus DecodeModelFile. NotFound when the file cannot be opened.
 StatusOr<std::unique_ptr<MlpModel>> LoadModel(const std::string& path);
 StatusOr<ModelFile> LoadModelFile(const std::string& path);
 

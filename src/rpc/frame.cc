@@ -50,74 +50,41 @@ std::string EncodeFrame(const FrameHeader& header,
   return out;
 }
 
-std::string EncodeFrameV1(const FrameHeader& header,
-                          const std::string& payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytesV1 + payload.size());
-  store::PutBytes(&out, kFrameMagic, 8);
-  store::PutU32(&out, kFrameByteOrderTag);
-  store::PutU8(&out, kFrameVersionV1);
-  store::PutU8(&out, static_cast<uint8_t>(header.type));
-  store::PutU64(&out, header.sequence);
-  store::PutF64(&out, header.deadline_seconds);
-  store::PutU64(&out, payload.size());
-  store::PutU32(&out, store::Crc32(out.data(), out.size()));
-  store::PutU32(&out, store::Crc32(payload));
-  out.append(payload);
-  return out;
-}
-
 StatusOr<FrameHeader> DecodeFrameHeader(const std::string& prefix) {
-  if (prefix.size() < kFrameHeaderBytesV1) {
+  if (prefix.size() < kFrameHeaderBytes) {
     return Status::Unavailable(
         "truncated frame header: got " + std::to_string(prefix.size()) +
-        " byte(s), want at least " + std::to_string(kFrameHeaderBytesV1));
+        " byte(s), want " + std::to_string(kFrameHeaderBytes));
   }
   if (std::memcmp(prefix.data(), kFrameMagic, 8) != 0) {
     return Status::InvalidArgument("bad frame magic (not an ENLD frame)");
-  }
-  // The version byte (offset 12) is peeked before the CRC check only to
-  // pick the layout (prefix length + CRC span); it is not trusted until
-  // the CRC over that layout passes. A corrupted version byte selects the
-  // wrong CRC span, the mismatch reads as wire damage, and the peer
-  // retries — never a protocol violation from a flipped bit.
-  const uint8_t version_byte = static_cast<uint8_t>(prefix[12]);
-  const bool v1_layout = (version_byte == kFrameVersionV1);
-  const size_t header_bytes = FrameHeaderBytesForVersion(version_byte);
-  if (prefix.size() < header_bytes) {
-    return Status::Unavailable(
-        "truncated frame header: got " + std::to_string(prefix.size()) +
-        " byte(s), version " + std::to_string(version_byte) + " needs " +
-        std::to_string(header_bytes));
   }
   store::BinaryReader reader(prefix);
   reader.Skip(8);  // magic, just compared
   uint32_t tag = 0;
   uint8_t version = 0, type = 0;
-  uint64_t sequence = 0, request_id = 0, payload_size = 0;
-  double deadline = 0.0;
-  uint32_t header_crc = 0, payload_crc = 0;
+  FrameHeader header;
+  uint32_t header_crc = 0;
   reader.ReadU32(&tag);
   reader.ReadU8(&version);
   reader.ReadU8(&type);
-  reader.ReadU64(&sequence);
-  if (!v1_layout) reader.ReadU64(&request_id);
-  reader.ReadF64(&deadline);
-  reader.ReadU64(&payload_size);
+  reader.ReadU64(&header.sequence);
+  reader.ReadU64(&header.request_id);
+  reader.ReadF64(&header.deadline_seconds);
+  reader.ReadU64(&header.payload_size);
   reader.ReadU32(&header_crc);
-  reader.ReadU32(&payload_crc);
+  reader.ReadU32(&header.payload_crc);
   if (tag != kFrameByteOrderTag) {
     return Status::InvalidArgument("frame written with a foreign byte order");
   }
   // The header CRC is checked before version/type/length are trusted: a
   // flipped bit in any of them must read as wire damage (retryable), not
   // as a protocol violation.
-  const uint32_t actual_crc = store::Crc32(prefix.data(), header_bytes - 8);
-  if (actual_crc != header_crc) {
+  if (store::Crc32(prefix.data(), kFrameHeaderBytes - 8) != header_crc) {
     CountCrcFailure();
     return Status::Unavailable("frame header CRC mismatch");
   }
-  if (version != kFrameVersion && version != kFrameVersionV1) {
+  if (version != kFrameVersion) {
     return Status::InvalidArgument("unsupported frame version " +
                                    std::to_string(version));
   }
@@ -125,20 +92,13 @@ StatusOr<FrameHeader> DecodeFrameHeader(const std::string& prefix) {
     return Status::InvalidArgument("unknown frame type " +
                                    std::to_string(type));
   }
-  if (payload_size > kMaxFramePayloadBytes) {
+  if (header.payload_size > kMaxFramePayloadBytes) {
     return Status::InvalidArgument(
-        "frame payload of " + std::to_string(payload_size) +
+        "frame payload of " + std::to_string(header.payload_size) +
         " bytes exceeds the " + std::to_string(kMaxFramePayloadBytes) +
         "-byte limit");
   }
-  FrameHeader header;
   header.type = static_cast<FrameType>(type);
-  header.sequence = sequence;
-  header.request_id = request_id;
-  header.deadline_seconds = deadline;
-  header.payload_size = payload_size;
-  header.payload_crc = payload_crc;
-  header.version = version;
   return header;
 }
 
@@ -159,12 +119,11 @@ Status VerifyFramePayload(const FrameHeader& header,
 StatusOr<Frame> DecodeFrame(const std::string& buffer) {
   StatusOr<FrameHeader> header = DecodeFrameHeader(buffer);
   if (!header.ok()) return header.status();
-  const size_t header_bytes = FrameHeaderBytesForVersion(header->version);
-  const size_t total = header_bytes + header->payload_size;
+  const size_t total = kFrameHeaderBytes + header->payload_size;
   if (buffer.size() < total) {
     return Status::Unavailable(
         "truncated frame payload: buffer holds " +
-        std::to_string(buffer.size() - header_bytes) +
+        std::to_string(buffer.size() - kFrameHeaderBytes) +
         " byte(s), header declares " + std::to_string(header->payload_size));
   }
   if (buffer.size() > total) {
@@ -174,7 +133,7 @@ StatusOr<Frame> DecodeFrame(const std::string& buffer) {
   }
   Frame frame;
   frame.header = *header;
-  frame.payload = buffer.substr(header_bytes);
+  frame.payload = buffer.substr(kFrameHeaderBytes);
   ENLD_RETURN_IF_ERROR(VerifyFramePayload(frame.header, frame.payload));
   return frame;
 }

@@ -17,7 +17,7 @@ namespace rpc {
 /// every kind of wire damage is caught by a checksum before any payload is
 /// interpreted:
 ///
-///   offset size field                         (frame version 2)
+///   offset size field
 ///   0      8    magic "ENLDRPC1"
 ///   8      4    byte-order tag 0x01020304
 ///   12     1    frame version (2)
@@ -30,15 +30,9 @@ namespace rpc {
 ///   50     4    CRC32 over the payload     (payload CRC)
 ///   54     n    payload
 ///
-/// Version 1 frames (PR 6 peers) carry no request-id field: sequence is
-/// followed directly by the deadline at offset 22, the payload length at
-/// 30, and the header CRC over [0, 38) at 38 (46-byte prefix total). The
-/// decoder accepts both versions — the version byte selects the layout,
-/// and the header CRC is still verified before the version is trusted, so
-/// a flipped version bit reads as retryable wire damage, never as a
-/// protocol violation. v1 frames decode with request_id = 0. EncodeFrame
-/// always emits version 2; EncodeFrameV1 exists for compatibility tests
-/// and legacy peers.
+/// Version 2 is the only version: any other version byte is a protocol
+/// violation. The header CRC is verified before the version is trusted,
+/// so a flipped version bit reads as retryable wire damage.
 ///
 /// Error contract (mirrors the store's, split by retryability):
 ///
@@ -55,18 +49,8 @@ namespace rpc {
 inline constexpr char kFrameMagic[] = "ENLDRPC1";  ///< 8 bytes on the wire.
 inline constexpr uint32_t kFrameByteOrderTag = 0x01020304;
 inline constexpr uint8_t kFrameVersion = 2;
-inline constexpr uint8_t kFrameVersionV1 = 1;
-/// Byte length of the version-2 frame prefix (everything before the
-/// payload). Version-1 prefixes are kFrameHeaderBytesV1 long; use
-/// FrameHeaderBytesForVersion when handling a decoded frame generically.
+/// Byte length of the frame prefix (everything before the payload).
 inline constexpr size_t kFrameHeaderBytes = 54;
-inline constexpr size_t kFrameHeaderBytesV1 = 46;
-
-/// Prefix length implied by a (trusted) version byte. Unknown versions map
-/// to the current layout; the decoder rejects them after the CRC check.
-inline constexpr size_t FrameHeaderBytesForVersion(uint8_t version) {
-  return version == kFrameVersionV1 ? kFrameHeaderBytesV1 : kFrameHeaderBytes;
-}
 /// Upper bound on a declared payload length; anything larger is rejected
 /// as InvalidArgument before any allocation happens.
 inline constexpr uint64_t kMaxFramePayloadBytes = 64ull << 20;  // 64 MiB
@@ -101,7 +85,7 @@ struct FrameHeader {
   /// Client-set observability identity, echoed in the response and carried
   /// through pipeline, platform, and audit records (docs/OBSERVABILITY.md).
   /// Unlike `sequence` it stays constant across retries of one logical
-  /// request. 0 = unset (and what every v1 frame decodes to).
+  /// request. 0 = unset.
   uint64_t request_id = 0;
   /// Per-request service-deadline header in seconds; 0 = no deadline
   /// requested (the server's configured default applies). Meaningful on
@@ -112,9 +96,6 @@ struct FrameHeader {
   /// Declared payload CRC32 (filled by DecodeFrameHeader; EncodeFrame
   /// computes it from the payload).
   uint32_t payload_crc = 0;
-  /// Wire version the frame was decoded from (filled by DecodeFrameHeader;
-  /// ignored by EncodeFrame, which always writes kFrameVersion).
-  uint8_t version = kFrameVersion;
 };
 
 struct Frame {
@@ -123,18 +104,11 @@ struct Frame {
 };
 
 /// Serializes one complete frame (header CRC and payload CRC computed
-/// here; `header.payload_size`/`payload_crc`/`version` inputs are ignored).
+/// here; `header.payload_size`/`payload_crc` inputs are ignored).
 std::string EncodeFrame(const FrameHeader& header, const std::string& payload);
 
-/// Serializes a version-1 frame (46-byte prefix, no request-id field).
-/// `header.request_id` is dropped on the floor — exactly what a PR 6 peer
-/// would send. Kept for compatibility tests and mixed-fleet rollouts.
-std::string EncodeFrameV1(const FrameHeader& header,
-                          const std::string& payload);
-
-/// Validates and parses the frame prefix. `prefix` must hold at least
-/// kFrameHeaderBytesV1 bytes — the version byte then selects the layout
-/// (v2 prefixes need kFrameHeaderBytes). See the error contract above.
+/// Validates and parses the frame prefix, the first kFrameHeaderBytes of
+/// `prefix`. See the error contract above.
 StatusOr<FrameHeader> DecodeFrameHeader(const std::string& prefix);
 
 /// Checks `payload` against the declared length and CRC of `header`.

@@ -69,26 +69,8 @@ Status WriteAll(int fd, const std::string& data) {
 }
 
 StatusOr<Frame> ReadFrameRaw(int fd) {
-  // Read the short (v1-sized) prefix first, peek the version byte, then
-  // pull in the rest of a longer prefix. A v1 frame whose version byte was
-  // damaged into something longer desyncs the stream here; the CRC check
-  // fails, the connection closes, and the client resends after reconnect —
-  // the same recovery path as any other torn frame.
   std::string prefix;
-  ENLD_RETURN_IF_ERROR(ReadExact(fd, kFrameHeaderBytesV1, &prefix));
-  const size_t header_bytes =
-      FrameHeaderBytesForVersion(static_cast<uint8_t>(prefix[12]));
-  if (header_bytes > prefix.size()) {
-    std::string rest;
-    const Status read = ReadExact(fd, header_bytes - prefix.size(), &rest);
-    if (!read.ok()) {
-      if (read.code() == StatusCode::kNotFound) {
-        return Status::Unavailable("connection closed mid-frame");
-      }
-      return read;
-    }
-    prefix.append(rest);
-  }
+  ENLD_RETURN_IF_ERROR(ReadExact(fd, kFrameHeaderBytes, &prefix));
   StatusOr<FrameHeader> header = DecodeFrameHeader(prefix);
   if (!header.ok()) return header.status();
   Frame frame;

@@ -362,8 +362,7 @@ void RpcServer::ServeConnection(int fd, uint64_t connection_id) {
     // The end-to-end clock starts the moment the frame is fully read, so
     // injected wire stalls and everything downstream count toward it.
     Stopwatch received;
-    conn.bytes_read += FrameHeaderBytesForVersion(frame.header.version) +
-                       frame.header.payload_size;
+    conn.bytes_read += kFrameHeaderBytes + frame.header.payload_size;
 
     bool dropped = false;
     if (!ApplyWireFaults(&frame, &dropped)) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -28,6 +29,12 @@ telemetry::Counter* BytesWrittenCounter() {
   static telemetry::Counter* counter =
       telemetry::MetricsRegistry::Global().GetCounter("store/bytes_written");
   return counter;
+}
+
+void CountCrcFailure() {
+  static telemetry::Counter* counter =
+      telemetry::MetricsRegistry::Global().GetCounter("store/crc_failures");
+  counter->Increment();
 }
 
 /// Slicing-by-8 tables, built on first use. Row 0 is the standard
@@ -103,7 +110,7 @@ uint32_t Crc32(const void* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-uint32_t Crc32(const std::string& data) {
+uint32_t Crc32(std::string_view data) {
   return Crc32(data.data(), data.size());
 }
 
@@ -198,7 +205,7 @@ bool BinaryReader::ReadF64(double* v) {
 
 bool BinaryReader::ReadBytes(size_t size, std::string* out) {
   if (remaining() < size) return false;
-  out->assign(data_, offset_, size);
+  out->assign(data_.substr(offset_, size));
   offset_ += size;
   return true;
 }
@@ -232,30 +239,77 @@ void FinishSection(std::string* out, size_t section) {
   out->replace(section + 4, fields.size(), fields);
 }
 
-Status ReadSection(BinaryReader* reader, uint32_t expected_id,
-                   std::string* payload) {
-  uint32_t id = 0;
-  uint64_t bytes = 0;
-  uint32_t crc = 0;
-  if (!reader->ReadU32(&id) || !reader->ReadU64(&bytes) ||
-      !reader->ReadU32(&crc)) {
-    return Status::InvalidArgument("truncated section header");
+Status RejectFormat(FormatFault kind, std::string message,
+                    FormatFault* fault) {
+  if (fault != nullptr) *fault = kind;
+  return Status::InvalidArgument(std::move(message));
+}
+
+SectionWalk WalkSections(std::string_view data, size_t offset,
+                         uint32_t count) {
+  SectionWalk walk;
+  BinaryReader reader(data);
+  reader.Skip(offset);
+  for (uint32_t expected = 1; expected <= count; ++expected) {
+    uint32_t id = 0, crc = 0;
+    uint64_t length = 0;
+    walk.fault_id = expected;
+    if (!reader.ReadU32(&id) || !reader.ReadU64(&length) ||
+        !reader.ReadU32(&crc)) {
+      walk.fault = FormatFault::kTruncated;
+      walk.fault_detail =
+          "file ends before section " + std::to_string(expected);
+      return walk;
+    }
+    if (id != expected) {
+      walk.fault = FormatFault::kMalformed;
+      walk.fault_detail = "section id " + std::to_string(id) + " where " +
+                          std::to_string(expected) + " expected";
+      return walk;
+    }
+    if (length > reader.remaining()) {
+      walk.fault = FormatFault::kTruncated;
+      walk.fault_detail =
+          "section " + std::to_string(id) + " payload truncated";
+      return walk;
+    }
+    const std::string_view payload = data.substr(reader.offset(), length);
+    reader.Skip(length);
+    walk.sections.push_back({id, payload, Crc32(payload) == crc});
   }
-  if (id != expected_id) {
-    return Status::InvalidArgument("unexpected section id " +
-                                   std::to_string(id) + " (want " +
-                                   std::to_string(expected_id) + ")");
+  walk.fault_id = 0;
+  walk.trailing_bytes = reader.remaining();
+  return walk;
+}
+
+Status SectionWalk::Verify() const {
+  for (const Section& section : sections) {
+    if (!section.crc_ok) {
+      CountCrcFailure();
+      return Status::InvalidArgument("CRC mismatch in section " +
+                                     std::to_string(section.id));
+    }
   }
-  if (!reader->ReadBytes(static_cast<size_t>(bytes), payload)) {
-    return Status::InvalidArgument("truncated section " + std::to_string(id) +
-                                   " payload");
+  if (fault_id != 0) return Status::InvalidArgument(fault_detail);
+  if (trailing_bytes != 0) {
+    return Status::InvalidArgument(std::to_string(trailing_bytes) +
+                                   " trailing bytes after last section");
   }
-  if (Crc32(*payload) != crc) {
-    static telemetry::Counter* failures =
-        telemetry::MetricsRegistry::Global().GetCounter("store/crc_failures");
-    failures->Increment();
-    return Status::InvalidArgument("CRC mismatch in section " +
-                                   std::to_string(id));
+  return Status::OK();
+}
+
+Status VerifyListedBytes(const std::string& name, std::string_view data,
+                         uint64_t bytes, uint32_t crc32) {
+  if (data.size() != bytes) {
+    return Status::InvalidArgument(
+        name + " is " + std::to_string(data.size()) +
+        " bytes, its manifest says " + std::to_string(bytes) +
+        " (truncated?)");
+  }
+  if (Crc32(data) != crc32) {
+    CountCrcFailure();
+    return Status::InvalidArgument(name +
+                                   " CRC32 does not match its manifest");
   }
   return Status::OK();
 }

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/retry.h"
 #include "common/status.h"
@@ -27,7 +29,7 @@ namespace store {
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected), matching
 /// Python's zlib.crc32 so tools/check_snapshot.py can re-verify files.
 uint32_t Crc32(const void* data, size_t size);
-uint32_t Crc32(const std::string& data);
+uint32_t Crc32(std::string_view data);
 
 /// Little-endian append helpers.
 void PutU8(std::string* out, uint8_t v);
@@ -38,12 +40,13 @@ void PutF32(std::string* out, float v);
 void PutF64(std::string* out, double v);
 void PutBytes(std::string* out, const void* data, size_t size);
 
-/// Bounds-checked little-endian cursor over an in-memory buffer. Read*
-/// returns false (leaving the output untouched) once the buffer is
-/// exhausted — callers turn that into a typed "truncated" Status.
+/// Bounds-checked little-endian cursor over an in-memory buffer, which
+/// must outlive the reader. Read* returns false (leaving the output
+/// untouched) once the buffer is exhausted — callers turn that into a
+/// typed "truncated" Status.
 class BinaryReader {
  public:
-  explicit BinaryReader(const std::string& data) : data_(data) {}
+  explicit BinaryReader(std::string_view data) : data_(data) {}
 
   size_t offset() const { return offset_; }
   size_t remaining() const { return data_.size() - offset_; }
@@ -59,7 +62,7 @@ class BinaryReader {
   bool Skip(size_t size);
 
  private:
-  const std::string& data_;
+  std::string_view data_;
   size_t offset_ = 0;
 };
 
@@ -75,11 +78,57 @@ void PutSection(std::string* out, uint32_t id, const std::string& payload);
 size_t BeginSection(std::string* out, uint32_t id);
 void FinishSection(std::string* out, size_t section);
 
-/// Reads one section envelope, verifying the id and the CRC. Fails with
-/// InvalidArgument on truncation, an unexpected id, or a checksum
-/// mismatch; CRC mismatches also count store/crc_failures.
-Status ReadSection(BinaryReader* reader, uint32_t expected_id,
-                   std::string* payload);
+/// Why a reader rejected a store file's header or manifest, in the kinds
+/// the scrubber reports as finding reasons.
+enum class FormatFault { kBadMagic, kTruncated, kMismatch, kMalformed };
+
+/// InvalidArgument(message), with `kind` stored in `*fault` when given.
+Status RejectFormat(FormatFault kind, std::string message, FormatFault* fault);
+
+/// One section envelope: its payload is a view into the walked buffer.
+struct Section {
+  uint32_t id = 0;
+  std::string_view payload;
+  bool crc_ok = false;
+};
+
+/// What WalkSections found. The walker reports and its callers judge: the
+/// decoders reject any fault (Verify), the scrubber turns each into a
+/// finding, and repair keeps the sections it needs.
+struct SectionWalk {
+  std::vector<Section> sections;  ///< read in full, ids 1, 2, ... in order
+  /// The section the walk stopped at (0 when it read them all) and why:
+  /// truncation, or an envelope with the wrong id.
+  uint32_t fault_id = 0;
+  FormatFault fault = FormatFault::kTruncated;
+  std::string fault_detail;
+  size_t trailing_bytes = 0;  ///< after the last section, when complete
+
+  /// The decoders' verdict: OK when every section is present, its CRC
+  /// intact, and nothing trails; else InvalidArgument for the first fault
+  /// in file order. A CRC mismatch also counts store/crc_failures.
+  Status Verify() const;
+};
+
+/// Walks the `count` envelopes with ids 1..count starting at `offset`,
+/// checking each payload's CRC without copying it. Stops early only at a
+/// structural fault: truncation or a wrong id.
+SectionWalk WalkSections(std::string_view data, size_t offset,
+                         uint32_t count);
+
+/// Checks a whole file's bytes against the size and CRC32 its manifest
+/// recorded: InvalidArgument naming `name` on a mismatch; a CRC mismatch
+/// also counts store/crc_failures.
+Status VerifyListedBytes(const std::string& name, std::string_view data,
+                         uint64_t bytes, uint32_t crc32);
+
+/// True when `bytes` holds exactly `count` values of `width` bytes: the
+/// check a decoder makes before sizing a container from a count it read.
+/// Immune to overflow of count * width.
+inline bool HoldsExactly(std::string_view bytes, uint64_t count,
+                         size_t width) {
+  return bytes.size() % width == 0 && bytes.size() / width == count;
+}
 
 /// The retry policy every store IO path applies around transient errors
 /// (fault sites firing, flaky reads/writes). Mutable so entry points can

@@ -1,6 +1,7 @@
 #include "store/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -143,13 +144,37 @@ class Parser {
     return Error("unterminated string");
   }
 
+  /// A number in the JSON grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// converted by strtod only once the whole literal has matched — so
+  /// "nan", "inf" and "0x10" are not numbers.
   StatusOr<JsonValue> ParseNumber() {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return Error("expected a JSON value");
-    pos_ += static_cast<size_t>(end - start);
-    return JsonValue::Number(v);
+    const size_t start = pos_;
+    auto at = [&](const char* chars) {
+      return pos_ < text_.size() && text_[pos_] != '\0' &&
+             std::strchr(chars, text_[pos_]) != nullptr;
+    };
+    auto digits = [&] {
+      const size_t first = pos_;
+      while (at("0123456789")) ++pos_;
+      return pos_ > first;
+    };
+    if (at("-")) ++pos_;
+    if (at("0")) {
+      ++pos_;
+    } else if (!digits()) {
+      return Error("expected a JSON value");
+    }
+    if (at(".")) {
+      ++pos_;
+      if (!digits()) return Error("malformed number");
+    }
+    if (at("eE")) {
+      ++pos_;
+      if (at("+-")) ++pos_;
+      if (!digits()) return Error("malformed number");
+    }
+    const std::string literal = text_.substr(start, pos_ - start);
+    return JsonValue::Number(std::strtod(literal.c_str(), nullptr));
   }
 
   const std::string& text_;
@@ -160,8 +185,9 @@ class Parser {
 void WriteNumber(std::string* out, double v) {
   char buffer[64];
   // Integers (the common case: row counts, CRCs, sizes) print exactly;
-  // other doubles use round-trippable %.17g.
-  if (v == static_cast<double>(static_cast<long long>(v))) {
+  // other doubles use round-trippable %.17g. The range check comes first:
+  // casting a double outside long long's range is undefined.
+  if (std::fabs(v) < 0x1p63 && v == std::trunc(v)) {
     std::snprintf(buffer, sizeof(buffer), "%lld",
                   static_cast<long long>(v));
   } else {
@@ -288,6 +314,20 @@ void JsonValue::Write(std::string* out, int indent) const {
       break;
     }
   }
+}
+
+Status GetUInt(const JsonValue& object, const std::string& key,
+               uint64_t* out, uint64_t max) {
+  const JsonValue* field = object.Find(key);
+  const double v =
+      field != nullptr && field->is_number() ? field->AsNumber() : -1.0;
+  if (!(v >= 0.0 && v <= static_cast<double>(max) && v == std::trunc(v))) {
+    return Status::InvalidArgument("JSON field '" + key +
+                                   "' is missing or not an integer in [0, " +
+                                   std::to_string(max) + "]");
+  }
+  *out = static_cast<uint64_t>(v);
+  return Status::OK();
 }
 
 std::string JsonEscape(const std::string& text) {

@@ -1,6 +1,7 @@
 #ifndef ENLD_STORE_JSON_H_
 #define ENLD_STORE_JSON_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,7 +15,8 @@ namespace store {
 /// Minimal JSON document model for the store's manifests: objects, arrays,
 /// strings, numbers (double), booleans and null. Good enough to parse what
 /// the store itself writes plus hand-edited manifests; not a general JSON
-/// library (no \uXXXX escapes, numbers go through strtod).
+/// library (no \uXXXX escapes). Numbers must follow the JSON grammar;
+/// they are stored as doubles.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -61,6 +63,17 @@ class JsonValue {
   std::vector<JsonValue> items_;                             // kArray.
   std::vector<std::pair<std::string, JsonValue>> fields_;    // kObject.
 };
+
+/// Largest integer a JSON number (a double) carries exactly, 2^53: the
+/// bound of an integer field unless its own range is tighter.
+inline constexpr uint64_t kMaxJsonInteger = uint64_t{1} << 53;
+
+/// Reads the integer field `key` of `object` into `*out`: it must be a
+/// finite, integral number in [0, max]. InvalidArgument otherwise, with
+/// `*out` untouched. The one guard in front of every cast from a JSON
+/// number to an integer.
+Status GetUInt(const JsonValue& object, const std::string& key,
+               uint64_t* out, uint64_t max = kMaxJsonInteger);
 
 /// Escapes a string for embedding in JSON (quotes not included).
 std::string JsonEscape(const std::string& text);

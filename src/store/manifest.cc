@@ -3,9 +3,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "common/parallel.h"
-#include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
 #include "store/io.h"
 #include "store/json.h"
@@ -19,28 +19,10 @@ namespace {
 constexpr char kManifestSchema[] = "enld-dataset-manifest-v1";
 constexpr char kManifestFile[] = "manifest.json";
 
-telemetry::Counter* CrcFailures() {
-  static telemetry::Counter* counter =
-      telemetry::MetricsRegistry::Global().GetCounter("store/crc_failures");
-  return counter;
-}
-
 std::string ShardFileName(size_t index) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "shard-%05zu.bin", index);
   return buffer;
-}
-
-/// Fetches a non-negative integer field from a manifest object.
-Status GetUInt(const JsonValue& object, const std::string& key,
-               uint64_t* out) {
-  const JsonValue* field = object.Find(key);
-  if (field == nullptr || !field->is_number() || field->AsNumber() < 0) {
-    return Status::InvalidArgument("manifest field '" + key +
-                                   "' missing or not a non-negative number");
-  }
-  *out = static_cast<uint64_t>(field->AsNumber());
-  return Status::OK();
 }
 
 Status GetString(const JsonValue& object, const std::string& key,
@@ -116,10 +98,8 @@ Status SaveDatasetSharded(const Dataset& dataset, const std::string& dir,
   return SyncDir(dir);
 }
 
-StatusOr<DatasetManifest> ReadDatasetManifest(const std::string& dir) {
-  StatusOr<std::string> text = ReadFile(dir + "/" + kManifestFile);
-  if (!text.ok()) return text.status();
-  StatusOr<JsonValue> parsed = JsonValue::Parse(text.value());
+StatusOr<DatasetManifest> ParseDatasetManifest(const std::string& text) {
+  StatusOr<JsonValue> parsed = JsonValue::Parse(text);
   if (!parsed.ok()) return parsed.status();
   const JsonValue& root = parsed.value();
   if (!root.is_object()) {
@@ -137,7 +117,8 @@ StatusOr<DatasetManifest> ReadDatasetManifest(const std::string& dir) {
   uint64_t classes = 0;
   ENLD_RETURN_IF_ERROR(GetUInt(root, "num_rows", &manifest.num_rows));
   ENLD_RETURN_IF_ERROR(GetUInt(root, "dim", &manifest.dim));
-  ENLD_RETURN_IF_ERROR(GetUInt(root, "num_classes", &classes));
+  ENLD_RETURN_IF_ERROR(GetUInt(root, "num_classes", &classes,
+                               std::numeric_limits<int>::max()));
   manifest.num_classes = static_cast<int>(classes);
 
   const JsonValue* shards = root.Find("shards");
@@ -155,7 +136,8 @@ StatusOr<DatasetManifest> ReadDatasetManifest(const std::string& dir) {
     ENLD_RETURN_IF_ERROR(GetString(item, "file", &entry.file));
     ENLD_RETURN_IF_ERROR(GetUInt(item, "rows", &entry.rows));
     ENLD_RETURN_IF_ERROR(GetUInt(item, "bytes", &entry.bytes));
-    ENLD_RETURN_IF_ERROR(GetUInt(item, "crc32", &crc));
+    ENLD_RETURN_IF_ERROR(GetUInt(item, "crc32", &crc,
+                                 std::numeric_limits<uint32_t>::max()));
     entry.crc32 = static_cast<uint32_t>(crc);
     if (entry.file.empty() || entry.file.find('/') != std::string::npos) {
       return Status::InvalidArgument("shard file name must be a plain name");
@@ -170,6 +152,12 @@ StatusOr<DatasetManifest> ReadDatasetManifest(const std::string& dir) {
         std::to_string(listed_rows) + ")");
   }
   return manifest;
+}
+
+StatusOr<DatasetManifest> ReadDatasetManifest(const std::string& dir) {
+  StatusOr<std::string> text = ReadFile(dir + "/" + kManifestFile);
+  if (!text.ok()) return text.status();
+  return ParseDatasetManifest(text.value());
 }
 
 StatusOr<Dataset> LoadDatasetSharded(const std::string& dir) {
@@ -188,35 +176,16 @@ StatusOr<Dataset> LoadDatasetSharded(const std::string& dir) {
     for (size_t s = begin; s < end; ++s) {
       const ShardEntry& entry = manifest.shards[s];
       StatusOr<std::string> data = ReadFile(dir + "/" + entry.file);
-      if (!data.ok()) {
-        loaded[s] = data.status();
-        continue;
+      Status status = data.status();
+      if (status.ok()) {
+        status = VerifyListedBytes("shard " + entry.file, *data, entry.bytes,
+                                   entry.crc32);
       }
-      if (data.value().size() != entry.bytes) {
-        loaded[s] = Status::InvalidArgument(
-            "shard " + entry.file + " is " +
-            std::to_string(data.value().size()) + " bytes, manifest says " +
-            std::to_string(entry.bytes) + " (truncated?)");
-        continue;
-      }
-      if (Crc32(data.value()) != entry.crc32) {
-        CrcFailures()->Increment();
-        loaded[s] = Status::InvalidArgument(
-            "shard " + entry.file + " CRC32 does not match the manifest");
-        continue;
-      }
-      loaded[s] = DecodeDatasetShard(data.value());
+      loaded[s] = status.ok() ? DecodeDatasetShard(*data)
+                              : StatusOr<Dataset>(status);
     }
   });
 
-  Dataset out;
-  out.num_classes = manifest.num_classes;
-  out.features.Reset(static_cast<size_t>(manifest.num_rows),
-                     static_cast<size_t>(manifest.dim));
-  out.observed_labels.reserve(manifest.num_rows);
-  out.true_labels.reserve(manifest.num_rows);
-  out.ids.reserve(manifest.num_rows);
-  size_t row = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     if (!loaded[s].ok()) {
       return Status(loaded[s].status().code(),
@@ -230,6 +199,20 @@ StatusOr<Dataset> LoadDatasetSharded(const std::string& dir) {
           "shard " + manifest.shards[s].file +
           " geometry disagrees with the manifest");
     }
+  }
+  // Every shard decoded and matches the manifest, so the row total sized
+  // below is backed by bytes actually read.
+  if (num_shards == 1) return std::move(loaded[0]).value();
+  Dataset out;
+  out.num_classes = manifest.num_classes;
+  out.features.Reset(static_cast<size_t>(manifest.num_rows),
+                     static_cast<size_t>(manifest.dim));
+  out.observed_labels.reserve(manifest.num_rows);
+  out.true_labels.reserve(manifest.num_rows);
+  out.ids.reserve(manifest.num_rows);
+  size_t row = 0;
+  for (const StatusOr<Dataset>& loaded_shard : loaded) {
+    const Dataset& shard = loaded_shard.value();
     if (shard.size() > 0) {
       std::memcpy(out.features.Row(row), shard.features.data(),
                   shard.features.size() * sizeof(float));

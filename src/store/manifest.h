@@ -46,8 +46,11 @@ Status SaveDatasetSharded(const Dataset& dataset, const std::string& dir,
                           const std::string& name,
                           size_t rows_per_shard = kDefaultRowsPerShard);
 
-/// Reads `dir`/manifest.json. NotFound when absent, InvalidArgument on
-/// malformed or internally inconsistent content.
+/// Parses the text of a manifest.json. InvalidArgument on malformed or
+/// internally inconsistent content.
+StatusOr<DatasetManifest> ParseDatasetManifest(const std::string& text);
+
+/// Reads and parses `dir`/manifest.json. NotFound when absent.
 StatusOr<DatasetManifest> ReadDatasetManifest(const std::string& dir);
 
 /// Loads the logical dataset from `dir`: validates the manifest, checks

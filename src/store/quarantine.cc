@@ -42,22 +42,6 @@ Status WriteQuarantineJson(const QuarantineLog& log, const std::string& path) {
   return WriteFileDurable(path, doc.ToString());
 }
 
-namespace {
-
-/// Reads a required non-negative numeric field into `out`.
-Status GetUint(const JsonValue& object, const char* key, uint64_t* out) {
-  const JsonValue* field = object.Find(key);
-  if (field == nullptr || !field->is_number() || field->AsNumber() < 0) {
-    return Status::InvalidArgument(std::string("quarantine field '") + key +
-                                   "' is missing or not a non-negative "
-                                   "number");
-  }
-  *out = static_cast<uint64_t>(field->AsNumber());
-  return Status::OK();
-}
-
-}  // namespace
-
 StatusOr<QuarantineFile> ReadQuarantineJson(const std::string& path) {
   StatusOr<std::string> text = ReadFile(path);
   if (!text.ok()) return text.status();
@@ -75,8 +59,8 @@ StatusOr<QuarantineFile> ReadQuarantineJson(const std::string& path) {
   }
 
   QuarantineFile file;
-  ENLD_RETURN_IF_ERROR(GetUint(doc, "total", &file.total));
-  ENLD_RETURN_IF_ERROR(GetUint(doc, "capacity", &file.capacity));
+  ENLD_RETURN_IF_ERROR(GetUInt(doc, "total", &file.total));
+  ENLD_RETURN_IF_ERROR(GetUInt(doc, "capacity", &file.capacity));
   const JsonValue* records = doc.Find("records");
   if (records == nullptr || !records->is_array()) {
     return Status::InvalidArgument("quarantine log has no 'records' array");
@@ -86,9 +70,9 @@ StatusOr<QuarantineFile> ReadQuarantineJson(const std::string& path) {
       return Status::InvalidArgument("malformed quarantine record");
     }
     QuarantineFileRecord record;
-    ENLD_RETURN_IF_ERROR(GetUint(item, "request", &record.request));
-    ENLD_RETURN_IF_ERROR(GetUint(item, "row", &record.row));
-    ENLD_RETURN_IF_ERROR(GetUint(item, "sample_id", &record.sample_id));
+    ENLD_RETURN_IF_ERROR(GetUInt(item, "request", &record.request));
+    ENLD_RETURN_IF_ERROR(GetUInt(item, "row", &record.row));
+    ENLD_RETURN_IF_ERROR(GetUInt(item, "sample_id", &record.sample_id));
     const JsonValue* reason = item.Find("reason");
     if (reason == nullptr || !reason->is_string() ||
         reason->AsString().empty()) {
@@ -98,15 +82,9 @@ StatusOr<QuarantineFile> ReadQuarantineJson(const std::string& path) {
     record.reason = reason->AsString();
     // request_id, column, value and detail are optional: files from
     // builds before each field existed still replay.
-    const JsonValue* request_id = item.Find("request_id");
-    if (request_id != nullptr && request_id->is_number() &&
-        request_id->AsNumber() >= 0) {
-      record.request_id = static_cast<uint64_t>(request_id->AsNumber());
-    }
-    const JsonValue* column = item.Find("column");
-    if (column != nullptr && column->is_number() && column->AsNumber() >= 0) {
-      record.column = static_cast<uint64_t>(column->AsNumber());
-    }
+    // An optional number that is not an integer in range is ignored.
+    (void)GetUInt(item, "request_id", &record.request_id);
+    (void)GetUInt(item, "column", &record.column);
     const JsonValue* value = item.Find("value");
     if (value != nullptr && value->is_string()) {
       record.value = value->AsString();

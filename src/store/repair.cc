@@ -1,7 +1,6 @@
 #include "store/repair.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -23,88 +22,6 @@ namespace store {
 
 namespace {
 
-constexpr char kShardMagic[8] = {'E', 'N', 'L', 'D', 'S', 'H', 'D', '1'};
-constexpr uint32_t kEndianTag = 0x01020304u;
-
-/// Re-parses a damaged shard buffer leniently: the header and the four
-/// data sections (features, observed, true, ids) must each individually
-/// pass their CRC and match the header geometry; the redundant bitmap
-/// section may be arbitrarily damaged since EncodeDatasetShard recomputes
-/// it. The caller still only accepts the result when the canonical
-/// re-encoding matches the dataset manifest's size and CRC.
-StatusOr<Dataset> RebuildShardFromSections(const std::string& data) {
-  if (data.size() < sizeof(kShardMagic) ||
-      std::memcmp(data.data(), kShardMagic, sizeof(kShardMagic)) != 0) {
-    return Status::InvalidArgument("shard magic damaged");
-  }
-  BinaryReader reader(data);
-  reader.Skip(sizeof(kShardMagic));
-  uint32_t endian = 0, version = 0, classes = 0, sections = 0;
-  uint64_t rows = 0, dim = 0;
-  if (!reader.ReadU32(&endian) || !reader.ReadU32(&version) ||
-      !reader.ReadU64(&rows) || !reader.ReadU64(&dim) ||
-      !reader.ReadU32(&classes) || !reader.ReadU32(&sections)) {
-    return Status::InvalidArgument("shard header truncated");
-  }
-  if (endian != kEndianTag || version != 1 || sections != 5) {
-    return Status::InvalidArgument("shard header damaged");
-  }
-
-  const uint64_t expected_len[4] = {rows * dim * sizeof(float),
-                                    rows * sizeof(int32_t),
-                                    rows * sizeof(int32_t),
-                                    rows * sizeof(uint64_t)};
-  std::string payloads[4];
-  for (uint32_t id = 1; id <= 4; ++id) {
-    uint32_t got_id = 0, crc = 0;
-    uint64_t length = 0;
-    if (!reader.ReadU32(&got_id) || !reader.ReadU64(&length) ||
-        !reader.ReadU32(&crc) || got_id != id) {
-      return Status::InvalidArgument("section " + std::to_string(id) +
-                                     " envelope damaged");
-    }
-    std::string payload;
-    if (length > reader.remaining() || !reader.ReadBytes(length, &payload)) {
-      return Status::InvalidArgument("section " + std::to_string(id) +
-                                     " truncated");
-    }
-    if (length != expected_len[id - 1] || Crc32(payload) != crc) {
-      return Status::InvalidArgument("section " + std::to_string(id) +
-                                     " does not survive its CRC");
-    }
-    payloads[id - 1] = std::move(payload);
-  }
-
-  Dataset dataset;
-  dataset.num_classes = static_cast<int>(classes);
-  dataset.features = Matrix(rows, dim);
-  if (rows > 0 && dim > 0) {
-    std::memcpy(dataset.features.Row(0), payloads[0].data(),
-                payloads[0].size());
-  }
-  dataset.observed_labels.resize(rows);
-  dataset.true_labels.resize(rows);
-  dataset.ids.resize(rows);
-  if (rows > 0) {
-    std::memcpy(dataset.observed_labels.data(), payloads[1].data(),
-                rows * sizeof(int32_t));
-    std::memcpy(dataset.true_labels.data(), payloads[2].data(),
-                rows * sizeof(int32_t));
-    std::memcpy(dataset.ids.data(), payloads[3].data(),
-                rows * sizeof(uint64_t));
-  }
-  ENLD_RETURN_IF_ERROR(ValidateDataset(dataset));
-  return dataset;
-}
-
-/// Bytes/CRC the target's snapshot manifest records for model.bin, when
-/// the manifest itself survives.
-struct ModelEntry {
-  bool listed = false;
-  uint64_t bytes = 0;
-  uint32_t crc = 0;
-};
-
 /// One repair pass over a single target snapshot. Holds the donor list
 /// (sibling seqs, newest first) plus a cache of donor datasets so a
 /// multi-shard rebuild loads each donor at most once.
@@ -125,45 +42,18 @@ class Repairer {
     report_->actions.push_back({target_, file, method, source, detail});
   }
 
-  /// Parses the target's MANIFEST.json just far enough to recover the
-  /// model.bin entry. A damaged manifest is not fatal — Save regenerates
-  /// it — but without it a model donor cannot be verified.
-  ModelEntry ReadModelEntry() {
-    ModelEntry entry;
-    StatusOr<std::string> text =
-        ReadFile(TargetDir() + "/" + kSnapshotManifestFile);
-    if (!text.ok()) return entry;
-    StatusOr<JsonValue> parsed = JsonValue::Parse(text.value());
-    if (!parsed.ok() || !parsed.value().is_object()) return entry;
-    const JsonValue* files = parsed.value().Find("files");
-    if (files == nullptr || !files->is_array()) return entry;
-    for (const JsonValue& item : files->items()) {
-      const JsonValue* file = item.Find("file");
-      const JsonValue* bytes = item.Find("bytes");
-      const JsonValue* crc = item.Find("crc32");
-      if (file == nullptr || !file->is_string() || bytes == nullptr ||
-          !bytes->is_number() || crc == nullptr || !crc->is_number()) {
-        continue;
-      }
-      if (file->AsString() == kSnapshotModelFile) {
-        entry.listed = true;
-        entry.bytes = static_cast<uint64_t>(bytes->AsNumber());
-        entry.crc = static_cast<uint32_t>(crc->AsNumber());
-      }
-    }
-    return entry;
-  }
-
   /// Recovers model dims/weights: the target's own file when it verifies,
-  /// else a manifest-verified sibling copy.
-  Status RepairModel(SnapshotContents* contents) {
+  /// else a sibling copy verified against `entry`, the model.bin entry of
+  /// the target's manifest. Without that entry (a damaged manifest) no
+  /// donor can be verified.
+  Status RepairModel(const SnapshotFileEntry* entry,
+                     SnapshotContents* contents) {
     const std::string rel =
         SnapshotStore::DirName(target_) + "/" + kSnapshotModelFile;
-    const ModelEntry entry = ReadModelEntry();
     if (TryModel(TargetDir() + "/" + kSnapshotModelFile, entry, contents)) {
       return Status::OK();
     }
-    if (entry.listed) {
+    if (entry != nullptr) {
       for (uint64_t donor : donors_) {
         const std::string donor_dir = SnapshotStore::DirName(donor);
         if (TryModel(root_ + "/" + donor_dir + "/" + kSnapshotModelFile,
@@ -214,16 +104,17 @@ class Repairer {
     return root_ + "/" + SnapshotStore::DirName(target_);
   }
 
-  bool TryModel(const std::string& path, const ModelEntry& entry,
+  /// Reads the model file at `path` once, checks it against `entry` when
+  /// there is one, and decodes the same bytes.
+  bool TryModel(const std::string& path, const SnapshotFileEntry* entry,
                 SnapshotContents* contents) {
-    if (entry.listed) {
-      StatusOr<std::string> bytes = ReadFile(path);
-      if (!bytes.ok() || bytes.value().size() != entry.bytes ||
-          Crc32(bytes.value()) != entry.crc) {
-        return false;
-      }
+    StatusOr<std::string> bytes = ReadFile(path);
+    if (!bytes.ok() ||
+        (entry != nullptr && (bytes->size() != entry->bytes ||
+                              Crc32(*bytes) != entry->crc32))) {
+      return false;
     }
-    StatusOr<ModelFile> model = LoadModelFile(path);
+    StatusOr<ModelFile> model = DecodeModelFile(*bytes);
     if (!model.ok()) return false;
     contents->framework.model_dims = std::move(model.value().dims);
     contents->framework.model_weights = std::move(model.value().weights);
@@ -248,7 +139,7 @@ class Repairer {
 
     // 1. Section rebuild from the damaged bytes themselves.
     if (bytes.ok()) {
-      StatusOr<Dataset> salvaged = RebuildShardFromSections(bytes.value());
+      StatusOr<Dataset> salvaged = SalvageDatasetShard(bytes.value());
       if (salvaged.ok()) {
         const std::string encoded = EncodeDatasetShard(salvaged.value());
         if (Matches(encoded, entry)) {
@@ -502,6 +393,14 @@ StatusOr<RepairReport> RepairSnapshotStore(const std::string& root,
   const std::string dir = root + "/" + SnapshotStore::DirName(target);
   const std::string name = SnapshotStore::DirName(target);
 
+  // A damaged manifest is not fatal — publishing regenerates it — but only
+  // the entries it still yields can verify a donor.
+  StatusOr<std::string> manifest_text =
+      ReadFile(dir + "/" + kSnapshotManifestFile);
+  const SnapshotManifest manifest =
+      manifest_text.ok() ? ParseSnapshotManifest(manifest_text.value(), target)
+                         : SnapshotManifest();
+
   // state.bin is the one artifact with no redundancy: its sections must
   // decode cleanly or the snapshot is unrepairable.
   SnapshotContents contents;
@@ -519,7 +418,8 @@ StatusOr<RepairReport> RepairSnapshotStore(const std::string& root,
                       : ": " + decoded.message()));
   }
 
-  const Status model = repairer.RepairModel(&contents);
+  const Status model =
+      repairer.RepairModel(manifest.Find(kSnapshotModelFile), &contents);
   if (!model.ok()) return unrepairable(model.message());
 
   StatusOr<Dataset> train = repairer.RepairDataset(kSnapshotTrainDir);
@@ -530,37 +430,20 @@ StatusOr<RepairReport> RepairSnapshotStore(const std::string& root,
   if (!candidate.ok()) return unrepairable(candidate.status().message());
   contents.framework.candidate_set =
       std::make_shared<const Dataset>(std::move(candidate.value()));
-  const Dataset& candidate_set = *contents.framework.candidate_set;
-
-  // The cross-file invariants SnapshotStore::Load enforces must hold
-  // before the rebuilt state is published.
-  if (contents.framework.selected_clean.size() != candidate_set.size()) {
-    return unrepairable(
-        "rebuilt candidate set disagrees with the clean-selection bitmap");
-  }
-  if (!candidate_set.empty() &&
-      (candidate_set.dim() != contents.inventory_dim ||
-       candidate_set.num_classes != contents.inventory_classes)) {
-    return unrepairable(
-        "rebuilt candidate set disagrees with the snapshot's inventory "
-        "geometry");
+  const Status consistent = CheckSnapshotContents(contents);
+  if (!consistent.ok()) {
+    return unrepairable("rebuilt snapshot is inconsistent: " +
+                        consistent.message());
   }
 
   // When the snapshot manifest itself was among the damage, publishing
   // regenerates it — record that as an explicit action.
-  StatusOr<std::string> manifest_text =
-      ReadFile(dir + "/" + kSnapshotManifestFile);
-  StatusOr<JsonValue> parsed =
-      manifest_text.ok() ? JsonValue::Parse(manifest_text.value())
-                         : StatusOr<JsonValue>(manifest_text.status());
-  if (!parsed.ok() || !parsed.value().is_object()) {
+  if (!manifest_text.ok() || !manifest.problems.empty()) {
     repairer.AddAction(name + "/" + kSnapshotManifestFile, "manifest_rebuild",
                        name, "snapshot manifest regenerated at publish");
   }
 
-  for (uint64_t i = 0; i < repairer.shards_rebuilt(); ++i) {
-    shard_counter->Increment();
-  }
+  shard_counter->Add(repairer.shards_rebuilt());
 
   if (options.dry_run) {
     report.published_seq = 0;

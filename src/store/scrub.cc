@@ -1,7 +1,6 @@
 #include "store/scrub.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 
 #include "common/faults.h"
@@ -19,9 +18,12 @@ namespace store {
 
 namespace {
 
-constexpr char kShardMagic[8] = {'E', 'N', 'L', 'D', 'S', 'H', 'D', '1'};
-constexpr char kStateMagic[8] = {'E', 'N', 'L', 'D', 'S', 'N', 'P', '1'};
-constexpr uint32_t kEndianTag = 0x01020304u;
+/// The finding reason for each kind of format fault, in FormatFault order.
+const char* Reason(FormatFault fault) {
+  static constexpr const char* kReasons[] = {"bad_magic", "truncated",
+                                             "mismatch", "malformed"};
+  return kReasons[static_cast<size_t>(fault)];
+}
 
 /// Collects findings for one scrub pass; binds the report plus the
 /// current snapshot context so walk helpers stay small.
@@ -57,45 +59,27 @@ class Scrubber {
     return data;
   }
 
-  /// Walks a run of (id u32, len u64, crc u32, payload) envelopes starting
-  /// at `offset`, recording a finding per damaged section and counting the
-  /// intact ones. Keeps going past a CRC mismatch — repair needs to know
-  /// every surviving section — but stops at truncation.
-  void WalkSections(uint64_t seq, const std::string& rel,
-                    const std::string& data, size_t offset,
-                    const std::vector<uint32_t>& expected_ids) {
-    BinaryReader reader(data);
-    reader.Skip(offset);
-    for (uint32_t expected : expected_ids) {
-      uint32_t id = 0, crc = 0;
-      uint64_t length = 0;
-      if (!reader.ReadU32(&id) || !reader.ReadU64(&length) ||
-          !reader.ReadU32(&crc)) {
-        Add(seq, rel, "section-" + std::to_string(expected), "truncated",
-            "file ends before section " + std::to_string(expected));
-        return;
-      }
-      if (id != expected) {
-        Add(seq, rel, "section-" + std::to_string(expected), "malformed",
-            "section id " + std::to_string(id) + " where " +
-                std::to_string(expected) + " expected");
-        return;
-      }
-      std::string payload;
-      if (length > reader.remaining() || !reader.ReadBytes(length, &payload)) {
-        Add(seq, rel, "section-" + std::to_string(id), "truncated",
-            "section " + std::to_string(id) + " payload truncated");
-        return;
-      }
+  /// Records a finding per damaged section of a walk and counts the
+  /// intact ones: every CRC mismatch (repair needs to know every
+  /// surviving section), the truncation or wrong id the walk stopped at,
+  /// and trailing bytes.
+  void AddWalk(uint64_t seq, const std::string& rel,
+               const SectionWalk& walk) {
+    for (const Section& section : walk.sections) {
       ++report_->sections_checked;
-      if (Crc32(payload) != crc) {
-        Add(seq, rel, "section-" + std::to_string(id), "crc_mismatch",
-            "section " + std::to_string(id) + " payload fails its CRC");
+      if (!section.crc_ok) {
+        Add(seq, rel, "section-" + std::to_string(section.id),
+            "crc_mismatch",
+            "section " + std::to_string(section.id) +
+                " payload fails its CRC");
       }
     }
-    if (reader.remaining() != 0) {
+    if (walk.fault_id != 0) {
+      Add(seq, rel, "section-" + std::to_string(walk.fault_id),
+          Reason(walk.fault), walk.fault_detail);
+    } else if (walk.trailing_bytes != 0) {
       Add(seq, rel, "file", "trailing_bytes",
-          std::to_string(reader.remaining()) +
+          std::to_string(walk.trailing_bytes) +
               " trailing bytes after last section");
     }
   }
@@ -103,78 +87,31 @@ class Scrubber {
   /// Structural walk of a state.bin buffer: header then per-section CRCs.
   void WalkState(uint64_t seq, const std::string& rel,
                  const std::string& data) {
-    if (data.size() < sizeof(kStateMagic) ||
-        std::memcmp(data.data(), kStateMagic, sizeof(kStateMagic)) != 0) {
-      Add(seq, rel, "header", "bad_magic",
-          "not an ENLD snapshot state file");
+    FormatFault fault = FormatFault::kMalformed;
+    const StatusOr<SectionWalk> walk = WalkSnapshotState(data, &fault);
+    if (!walk.ok()) {
+      Add(seq, rel, "header", Reason(fault), walk.status().message());
       return;
     }
-    BinaryReader reader(data);
-    reader.Skip(sizeof(kStateMagic));
-    uint32_t endian = 0, version = 0, sections = 0;
-    if (!reader.ReadU32(&endian) || !reader.ReadU32(&version) ||
-        !reader.ReadU32(&sections)) {
-      Add(seq, rel, "header", "truncated", "truncated state header");
-      return;
-    }
-    if (endian != kEndianTag) {
-      Add(seq, rel, "header", "mismatch", "byte-order tag mismatch");
-      return;
-    }
-    if (version < 1 || version > 3) {
-      Add(seq, rel, "header", "malformed",
-          "unsupported state version " + std::to_string(version));
-      return;
-    }
-    const uint32_t expected = version == 1 ? 5 : 6;
-    if (sections != expected) {
-      Add(seq, rel, "header", "mismatch",
-          "section count " + std::to_string(sections) + " != " +
-              std::to_string(expected));
-      return;
-    }
-    std::vector<uint32_t> ids;
-    for (uint32_t id = 1; id <= expected; ++id) ids.push_back(id);
-    WalkSections(seq, rel, data, reader.offset(), ids);
+    AddWalk(seq, rel, walk.value());
   }
 
-  /// Structural walk of a shard buffer. `expect_rows` < 0 skips the
-  /// geometry cross-check against the dataset manifest.
+  /// Structural walk of a shard buffer, with its header row count checked
+  /// against the dataset manifest's.
   void WalkShard(uint64_t seq, const std::string& rel,
-                 const std::string& data, int64_t expect_rows) {
-    if (data.size() < sizeof(kShardMagic) ||
-        std::memcmp(data.data(), kShardMagic, sizeof(kShardMagic)) != 0) {
-      Add(seq, rel, "header", "bad_magic", "not an ENLD shard");
+                 const std::string& data, uint64_t expect_rows) {
+    FormatFault fault = FormatFault::kMalformed;
+    const StatusOr<ShardLayout> layout = WalkDatasetShard(data, &fault);
+    if (!layout.ok()) {
+      Add(seq, rel, "header", Reason(fault), layout.status().message());
       return;
     }
-    BinaryReader reader(data);
-    reader.Skip(sizeof(kShardMagic));
-    uint32_t endian = 0, version = 0, classes = 0, sections = 0;
-    uint64_t rows = 0, dim = 0;
-    if (!reader.ReadU32(&endian) || !reader.ReadU32(&version) ||
-        !reader.ReadU64(&rows) || !reader.ReadU64(&dim) ||
-        !reader.ReadU32(&classes) || !reader.ReadU32(&sections)) {
-      Add(seq, rel, "header", "truncated", "truncated shard header");
-      return;
-    }
-    if (endian != kEndianTag) {
-      Add(seq, rel, "header", "mismatch", "byte-order tag mismatch");
-      return;
-    }
-    if (version != 1 || sections != 5) {
-      Add(seq, rel, "header", "malformed",
-          "unsupported shard version/section count");
-      return;
-    }
-    if (expect_rows >= 0 && rows != static_cast<uint64_t>(expect_rows)) {
+    if (layout->rows != expect_rows) {
       Add(seq, rel, "geometry", "mismatch",
-          "header rows " + std::to_string(rows) + " != manifest rows " +
-              std::to_string(expect_rows));
+          "header rows " + std::to_string(layout->rows) +
+              " != manifest rows " + std::to_string(expect_rows));
     }
-    WalkSections(seq, rel, data, reader.offset(),
-                 {kShardSectionFeatures, kShardSectionObserved,
-                  kShardSectionTrue, kShardSectionIds,
-                  kShardSectionMissingBitmap});
+    AddWalk(seq, rel, layout->walk);
   }
 
  private:
@@ -202,7 +139,7 @@ void ScrubDatasetDir(Scrubber* scrub, uint64_t seq,
   StatusOr<std::string> text =
       scrub->Read(seq, dir + "/manifest.json", manifest_rel);
   if (!text.ok()) return;
-  StatusOr<DatasetManifest> manifest = ReadDatasetManifest(dir);
+  StatusOr<DatasetManifest> manifest = ParseDatasetManifest(text.value());
   if (!manifest.ok()) {
     scrub->Add(seq, manifest_rel, "manifest", "malformed",
                manifest.status().message());
@@ -215,8 +152,7 @@ void ScrubDatasetDir(Scrubber* scrub, uint64_t seq,
     if (!data.ok()) continue;
     CheckAgainstManifest(scrub, seq, shard_rel, data.value(), entry.bytes,
                          entry.crc32);
-    scrub->WalkShard(seq, shard_rel, data.value(),
-                     static_cast<int64_t>(entry.rows));
+    scrub->WalkShard(seq, shard_rel, data.value(), entry.rows);
   }
 }
 
@@ -228,58 +164,15 @@ void ScrubSnapshotDir(Scrubber* scrub, ScrubReport* report, uint64_t seq,
 
   // The snapshot manifest drives the walk; when it is damaged the
   // conventional files are still scrubbed so repair knows what survives.
-  uint64_t state_bytes = 0, model_bytes = 0;
-  uint32_t state_crc = 0, model_crc = 0;
-  bool state_listed = false, model_listed = false;
   const std::string manifest_rel = name + "/" + kSnapshotManifestFile;
   StatusOr<std::string> manifest_text =
       scrub->Read(seq, dir + "/" + kSnapshotManifestFile, manifest_rel);
+  SnapshotManifest manifest;
   if (manifest_text.ok()) {
-    StatusOr<JsonValue> parsed = JsonValue::Parse(manifest_text.value());
-    const JsonValue* doc = parsed.ok() ? &parsed.value() : nullptr;
-    const JsonValue* schema =
-        doc != nullptr && doc->is_object() ? doc->Find("schema") : nullptr;
-    if (schema == nullptr || !schema->is_string() ||
-        schema->AsString() != "enld-snapshot-manifest-v1") {
-      scrub->Add(seq, manifest_rel, "manifest", "malformed",
-                 "missing or unsupported snapshot manifest schema");
-    } else {
-      const JsonValue* seq_field = doc->Find("seq");
-      if (seq_field == nullptr || !seq_field->is_number() ||
-          static_cast<uint64_t>(seq_field->AsNumber()) != seq) {
-        scrub->Add(seq, manifest_rel, "manifest", "mismatch",
-                   "manifest seq does not match its directory");
-      }
-      const JsonValue* files = doc->Find("files");
-      if (files == nullptr || !files->is_array()) {
-        scrub->Add(seq, manifest_rel, "manifest", "malformed",
-                   "manifest has no 'files' array");
-      } else {
-        for (const JsonValue& item : files->items()) {
-          const JsonValue* file = item.Find("file");
-          const JsonValue* bytes = item.Find("bytes");
-          const JsonValue* crc = item.Find("crc32");
-          if (file == nullptr || !file->is_string() || bytes == nullptr ||
-              !bytes->is_number() || crc == nullptr || !crc->is_number()) {
-            scrub->Add(seq, manifest_rel, "manifest", "malformed",
-                       "malformed file entry");
-            continue;
-          }
-          if (file->AsString() == kSnapshotStateFile) {
-            state_listed = true;
-            state_bytes = static_cast<uint64_t>(bytes->AsNumber());
-            state_crc = static_cast<uint32_t>(crc->AsNumber());
-          } else if (file->AsString() == kSnapshotModelFile) {
-            model_listed = true;
-            model_bytes = static_cast<uint64_t>(bytes->AsNumber());
-            model_crc = static_cast<uint32_t>(crc->AsNumber());
-          }
-        }
-        if (!state_listed || !model_listed) {
-          scrub->Add(seq, manifest_rel, "manifest", "malformed",
-                     "manifest must list state.bin and model.bin");
-        }
-      }
+    manifest = ParseSnapshotManifest(manifest_text.value(), seq);
+    for (const ManifestProblem& problem : manifest.problems) {
+      scrub->Add(seq, manifest_rel, "manifest", Reason(problem.fault),
+                 problem.detail);
     }
   }
 
@@ -287,9 +180,9 @@ void ScrubSnapshotDir(Scrubber* scrub, ScrubReport* report, uint64_t seq,
   StatusOr<std::string> state =
       scrub->Read(seq, dir + "/" + kSnapshotStateFile, state_rel);
   if (state.ok()) {
-    if (state_listed) {
-      CheckAgainstManifest(scrub, seq, state_rel, state.value(), state_bytes,
-                           state_crc);
+    if (const SnapshotFileEntry* entry = manifest.Find(kSnapshotStateFile)) {
+      CheckAgainstManifest(scrub, seq, state_rel, state.value(),
+                           entry->bytes, entry->crc32);
     }
     scrub->WalkState(seq, state_rel, state.value());
   }
@@ -297,9 +190,10 @@ void ScrubSnapshotDir(Scrubber* scrub, ScrubReport* report, uint64_t seq,
   const std::string model_rel = name + "/" + kSnapshotModelFile;
   StatusOr<std::string> model =
       scrub->Read(seq, dir + "/" + kSnapshotModelFile, model_rel);
-  if (model.ok() && model_listed) {
-    CheckAgainstManifest(scrub, seq, model_rel, model.value(), model_bytes,
-                         model_crc);
+  const SnapshotFileEntry* model_entry = manifest.Find(kSnapshotModelFile);
+  if (model.ok() && model_entry != nullptr) {
+    CheckAgainstManifest(scrub, seq, model_rel, model.value(),
+                         model_entry->bytes, model_entry->crc32);
   }
 
   for (const char* dataset : {kSnapshotTrainDir, kSnapshotCandidateDir}) {
@@ -375,8 +269,8 @@ StatusOr<ScrubReport> ScrubSnapshotStore(const std::string& root) {
   static telemetry::Counter* found =
       registry.GetCounter("store/scrub_findings");
   runs->Increment();
-  for (uint64_t i = 0; i < report.files_checked; ++i) files->Increment();
-  for (size_t i = 0; i < report.findings.size(); ++i) found->Increment();
+  files->Add(report.files_checked);
+  found->Add(report.findings.size());
   return report;
 }
 

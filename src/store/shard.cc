@@ -19,7 +19,7 @@ constexpr uint32_t kEndianTag = 0x01020304u;
 constexpr uint32_t kShardVersion = 1;
 constexpr uint32_t kSectionCount = 5;
 
-/// Labels are stored as int32; the bulk column copy relies on it.
+/// Labels are stored as int32; the bulk column copies rely on it.
 static_assert(sizeof(int) == sizeof(int32_t));
 
 /// Appends `count` column values little-endian, each sizeof(T) bytes wide:
@@ -32,6 +32,51 @@ void PutColumn(std::string* out, const T* values, size_t count, Put put) {
   } else {
     for (size_t i = 0; i < count; ++i) put(out, values[i]);
   }
+}
+
+/// The mirror of PutColumn: reads `count` little-endian values of
+/// sizeof(T) bytes from `bytes`, which the caller has sized exactly.
+template <typename T, typename Read>
+void GetColumn(std::string_view bytes, T* values, size_t count, Read read) {
+  if (count == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(values, bytes.data(), count * sizeof(T));
+  } else {
+    BinaryReader reader(bytes);
+    for (size_t i = 0; i < count; ++i) (reader.*read)(&values[i]);
+  }
+}
+
+/// Decodes the features, labels and ids from the first four sections of a
+/// walked shard, after checking each length against the header geometry.
+StatusOr<Dataset> DecodeColumns(const ShardLayout& layout) {
+  const std::vector<Section>& sections = layout.walk.sections;
+  const uint64_t rows = layout.rows;
+  const uint64_t dim = layout.dim;
+  const std::string_view features = sections[0].payload;
+  if (!(dim == 0 ? features.empty()
+                 : HoldsExactly(features, rows, dim * sizeof(float))) ||
+      !HoldsExactly(sections[1].payload, rows, sizeof(int32_t)) ||
+      !HoldsExactly(sections[2].payload, rows, sizeof(int32_t)) ||
+      !HoldsExactly(sections[3].payload, rows, sizeof(uint64_t))) {
+    return Status::InvalidArgument(
+        "shard column lengths disagree with the header geometry");
+  }
+  Dataset out;
+  out.num_classes = static_cast<int>(layout.num_classes);
+  out.features.Reset(rows, dim);
+  GetColumn(features, out.features.data(), rows * dim,
+            &BinaryReader::ReadF32);
+  out.observed_labels.resize(rows);
+  GetColumn(sections[1].payload, out.observed_labels.data(), rows,
+            &BinaryReader::ReadI32);
+  out.true_labels.resize(rows);
+  GetColumn(sections[2].payload, out.true_labels.data(), rows,
+            &BinaryReader::ReadI32);
+  out.ids.resize(rows);
+  GetColumn(sections[3].payload, out.ids.data(), rows,
+            &BinaryReader::ReadU64);
+  return out;
 }
 
 }  // namespace
@@ -86,112 +131,83 @@ std::string EncodeDatasetShardRows(const Dataset& dataset, size_t lo,
   return out;
 }
 
-StatusOr<Dataset> DecodeDatasetShard(const std::string& data) {
+StatusOr<ShardLayout> WalkDatasetShard(std::string_view data,
+                                       FormatFault* fault) {
+  if (data.substr(0, sizeof(kShardMagic)) !=
+      std::string_view(kShardMagic, sizeof(kShardMagic))) {
+    return RejectFormat(FormatFault::kBadMagic,
+                        "not an ENLD shard (bad magic)", fault);
+  }
   BinaryReader reader(data);
-  std::string magic;
-  if (!reader.ReadBytes(sizeof(kShardMagic), &magic) ||
-      std::memcmp(magic.data(), kShardMagic, sizeof(kShardMagic)) != 0) {
-    return Status::InvalidArgument("not an ENLD shard (bad magic)");
-  }
-  uint32_t endian = 0, version = 0, classes = 0, sections = 0;
-  uint64_t rows = 0, dim = 0;
+  reader.Skip(sizeof(kShardMagic));
+  ShardLayout layout;
+  uint32_t endian = 0, version = 0, sections = 0;
   if (!reader.ReadU32(&endian) || !reader.ReadU32(&version) ||
-      !reader.ReadU64(&rows) || !reader.ReadU64(&dim) ||
-      !reader.ReadU32(&classes) || !reader.ReadU32(&sections)) {
-    return Status::InvalidArgument("truncated shard header");
+      !reader.ReadU64(&layout.rows) || !reader.ReadU64(&layout.dim) ||
+      !reader.ReadU32(&layout.num_classes) || !reader.ReadU32(&sections)) {
+    return RejectFormat(FormatFault::kTruncated, "truncated shard header",
+                        fault);
   }
-  if (endian != 0x01020304u) {
-    return Status::InvalidArgument(
-        "shard byte-order tag mismatch (foreign-endian or corrupt file)");
+  if (endian != kEndianTag) {
+    return RejectFormat(
+        FormatFault::kMismatch,
+        "shard byte-order tag mismatch (foreign-endian or corrupt file)",
+        fault);
   }
-  if (version != kShardVersion) {
-    return Status::InvalidArgument("unsupported shard version " +
-                                   std::to_string(version));
+  if (version != kShardVersion || sections != kSectionCount) {
+    return RejectFormat(FormatFault::kMalformed,
+                        "unsupported shard version " +
+                            std::to_string(version) + " with " +
+                            std::to_string(sections) + " sections",
+                        fault);
   }
-  if (sections != kSectionCount) {
-    return Status::InvalidArgument("unexpected shard section count");
+  // The sections cannot be larger than the file.
+  if (layout.rows > data.size() || layout.dim > data.size()) {
+    return RejectFormat(FormatFault::kMalformed, "implausible shard geometry",
+                        fault);
   }
-  // Cheap sanity bound before allocating: the sections cannot be larger
-  // than the file.
-  if (rows > data.size() || dim > data.size()) {
-    return Status::InvalidArgument("implausible shard geometry");
-  }
+  layout.walk = WalkSections(data, reader.offset(), kSectionCount);
+  return layout;
+}
 
-  std::string payload;
-  Dataset out;
-  out.num_classes = static_cast<int>(classes);
+StatusOr<Dataset> DecodeDatasetShard(std::string_view data) {
+  StatusOr<ShardLayout> layout = WalkDatasetShard(data);
+  if (!layout.ok()) return layout.status();
+  ENLD_RETURN_IF_ERROR(layout->walk.Verify());
+  StatusOr<Dataset> out = DecodeColumns(*layout);
+  if (!out.ok()) return out;
 
-  ENLD_RETURN_IF_ERROR(
-      ReadSection(&reader, kShardSectionFeatures, &payload));
-  if (payload.size() != rows * dim * 4) {
-    return Status::InvalidArgument("feature section length mismatch");
-  }
-  out.features.Reset(static_cast<size_t>(rows), static_cast<size_t>(dim));
-  {
-    BinaryReader column(payload);
-    for (size_t i = 0; i < rows * dim; ++i) {
-      column.ReadF32(out.features.data() + i);
-    }
-  }
-
-  ENLD_RETURN_IF_ERROR(
-      ReadSection(&reader, kShardSectionObserved, &payload));
-  if (payload.size() != rows * 4) {
-    return Status::InvalidArgument("observed-label section length mismatch");
-  }
-  out.observed_labels.resize(static_cast<size_t>(rows));
-  {
-    BinaryReader column(payload);
-    for (auto& label : out.observed_labels) {
-      int32_t v = 0;
-      column.ReadI32(&v);
-      label = static_cast<int>(v);
-    }
-  }
-
-  ENLD_RETURN_IF_ERROR(ReadSection(&reader, kShardSectionTrue, &payload));
-  if (payload.size() != rows * 4) {
-    return Status::InvalidArgument("true-label section length mismatch");
-  }
-  out.true_labels.resize(static_cast<size_t>(rows));
-  {
-    BinaryReader column(payload);
-    for (auto& label : out.true_labels) {
-      int32_t v = 0;
-      column.ReadI32(&v);
-      label = static_cast<int>(v);
-    }
-  }
-
-  ENLD_RETURN_IF_ERROR(ReadSection(&reader, kShardSectionIds, &payload));
-  if (payload.size() != rows * 8) {
-    return Status::InvalidArgument("id section length mismatch");
-  }
-  out.ids.resize(static_cast<size_t>(rows));
-  {
-    BinaryReader column(payload);
-    for (auto& id : out.ids) column.ReadU64(&id);
-  }
-
-  ENLD_RETURN_IF_ERROR(
-      ReadSection(&reader, kShardSectionMissingBitmap, &payload));
-  if (payload.size() != (rows + 7) / 8) {
+  const uint64_t rows = layout->rows;
+  const std::string_view bitmap = layout->walk.sections[4].payload;
+  if (bitmap.size() != rows / 8 + (rows % 8 != 0)) {
     return Status::InvalidArgument("missing-bitmap section length mismatch");
   }
   for (size_t i = 0; i < rows; ++i) {
     const bool bit =
-        (static_cast<unsigned char>(payload[i / 8]) >> (i % 8)) & 1u;
-    if (bit != (out.observed_labels[i] == kMissingLabel)) {
+        (static_cast<unsigned char>(bitmap[i / 8]) >> (i % 8)) & 1u;
+    if (bit != (out->observed_labels[i] == kMissingLabel)) {
       return Status::InvalidArgument(
           "missing-label bitmap disagrees with observed column at row " +
           std::to_string(i));
     }
   }
+  ENLD_RETURN_IF_ERROR(ValidateDataset(*out));
+  return out;
+}
 
-  if (reader.remaining() != 0) {
-    return Status::InvalidArgument("trailing bytes after last section");
+StatusOr<Dataset> SalvageDatasetShard(std::string_view data) {
+  StatusOr<ShardLayout> layout = WalkDatasetShard(data);
+  if (!layout.ok()) return layout.status();
+  const std::vector<Section>& sections = layout->walk.sections;
+  for (uint32_t id = kShardSectionFeatures; id <= kShardSectionIds; ++id) {
+    if (sections.size() < id || !sections[id - 1].crc_ok) {
+      return Status::InvalidArgument("section " + std::to_string(id) +
+                                     " does not survive its CRC");
+    }
   }
-  ENLD_RETURN_IF_ERROR(ValidateDataset(out));
+  StatusOr<Dataset> out = DecodeColumns(*layout);
+  if (!out.ok()) return out;
+  ENLD_RETURN_IF_ERROR(ValidateDataset(*out));
   return out;
 }
 

@@ -2,9 +2,11 @@
 #define ENLD_STORE_SHARD_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "data/dataset.h"
+#include "store/io.h"
 
 namespace enld {
 namespace store {
@@ -48,10 +50,33 @@ std::string EncodeDatasetShard(const Dataset& dataset);
 std::string EncodeDatasetShardRows(const Dataset& dataset, size_t lo,
                                    size_t hi);
 
+/// A shard's structure, read without decoding a column: its header
+/// geometry plus the walk over its five sections (views into the caller's
+/// buffer).
+struct ShardLayout {
+  uint64_t rows = 0;
+  uint64_t dim = 0;
+  uint32_t num_classes = 0;
+  SectionWalk walk;
+};
+
+/// Parses the header (magic, byte-order tag, version 1, geometry, five
+/// sections) and walks the sections. InvalidArgument when the header is
+/// rejected, with its kind in `*fault` when given; section faults are
+/// left in the walk for the caller to judge. The scrubber's shard check.
+StatusOr<ShardLayout> WalkDatasetShard(std::string_view data,
+                                       FormatFault* fault = nullptr);
+
 /// Parses a shard buffer back into a Dataset, verifying every section CRC
 /// and the column invariants. The inverse of EncodeDatasetShard:
 /// DecodeDatasetShard(EncodeDatasetShard(d)) == d, byte-exact.
-StatusOr<Dataset> DecodeDatasetShard(const std::string& data);
+StatusOr<Dataset> DecodeDatasetShard(std::string_view data);
+
+/// Repair's salvage of a damaged shard: decodes the four data columns
+/// alone, each of which must be present, intact under its CRC and sized
+/// to the header. The missing-label bitmap (which EncodeDatasetShard
+/// recomputes) may be damaged or missing, and trailing bytes are ignored.
+StatusOr<Dataset> SalvageDatasetShard(std::string_view data);
 
 /// Writes the dataset as one shard file (crash-safe: temp + fsync +
 /// rename).

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -28,13 +28,6 @@ constexpr char kSnapshotMagic[8] = {'E', 'N', 'L', 'D', 'S', 'N', 'P', '1'};
 constexpr uint32_t kEndianTag = 0x01020304u;
 constexpr uint32_t kSnapshotVersion = 3;
 constexpr uint32_t kSectionCount = 6;
-// v1 files (sections 1-5, no admission data) still load; their admission
-// counters and update_pending default to zero/false. v2 files lack the
-// deadline-exceeded counter at the end of the admission section; it
-// defaults to zero.
-constexpr uint32_t kLegacyVersion1 = 1;
-constexpr uint32_t kLegacySectionCount1 = 5;
-constexpr uint32_t kLegacyVersion2 = 2;
 constexpr char kSnapshotSchema[] = "enld-snapshot-manifest-v1";
 // Short aliases of the exported names in snapshot.h.
 constexpr const char* kCurrentFile = kSnapshotCurrentFile;
@@ -76,17 +69,23 @@ void AppendTrainConfig(std::string* out, const TrainConfig& config) {
   PutU64(out, config.seed);
 }
 
+/// The sequence number a snapshot directory name ("snap-000042") encodes;
+/// 0 when `name` is not one.
+uint64_t SeqOfDirName(const std::string& name) {
+  if (name.size() != 11 || name.compare(0, 5, "snap-") != 0) return 0;
+  uint64_t seq = 0;
+  for (size_t i = 5; i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return 0;
+    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
+  }
+  return seq;
+}
+
 std::string FingerprintHex(uint64_t fingerprint) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
                 static_cast<unsigned long long>(fingerprint));
   return buffer;
-}
-
-telemetry::Counter* CrcFailures() {
-  static telemetry::Counter* counter =
-      telemetry::MetricsRegistry::Global().GetCounter("store/crc_failures");
-  return counter;
 }
 
 }  // namespace
@@ -149,44 +148,56 @@ std::string EncodeSnapshotState(const SnapshotContents& contents) {
     PutU64(&payload, contents.stats.quarantined_by_reason[i]);
   }
   PutU8(&payload, contents.update_pending ? 1 : 0);
-  PutU64(&payload, contents.stats.requests_deadline_exceeded);  // v3
+  PutU64(&payload, contents.stats.requests_deadline_exceeded);
   PutSection(&out, kSnapshotSectionAdmission, payload);
   return out;
 }
 
-Status DecodeSnapshotState(const std::string& data,
-                           SnapshotContents* contents) {
-  BinaryReader reader(data);
-  std::string magic;
-  if (!reader.ReadBytes(sizeof(kSnapshotMagic), &magic) ||
-      std::memcmp(magic.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-          0) {
-    return Status::InvalidArgument("not an ENLD snapshot state file");
+StatusOr<SectionWalk> WalkSnapshotState(std::string_view data,
+                                        FormatFault* fault) {
+  if (data.substr(0, sizeof(kSnapshotMagic)) !=
+      std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic))) {
+    return RejectFormat(FormatFault::kBadMagic,
+                        "not an ENLD snapshot state file", fault);
   }
+  BinaryReader reader(data);
+  reader.Skip(sizeof(kSnapshotMagic));
   uint32_t endian = 0, version = 0, sections = 0;
   if (!reader.ReadU32(&endian) || !reader.ReadU32(&version) ||
       !reader.ReadU32(&sections)) {
-    return Status::InvalidArgument("truncated snapshot state header");
+    return RejectFormat(FormatFault::kTruncated,
+                        "truncated snapshot state header", fault);
   }
   if (endian != kEndianTag) {
-    return Status::InvalidArgument(
-        "snapshot byte-order tag mismatch (foreign-endian or corrupt file)");
+    return RejectFormat(
+        FormatFault::kMismatch,
+        "snapshot byte-order tag mismatch (foreign-endian or corrupt file)",
+        fault);
   }
-  if (version != kSnapshotVersion && version != kLegacyVersion1 &&
-      version != kLegacyVersion2) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version));
+  if (version != kSnapshotVersion) {
+    return RejectFormat(FormatFault::kMalformed,
+                        "unsupported snapshot version " +
+                            std::to_string(version),
+                        fault);
   }
-  const uint32_t expected_sections =
-      version == kLegacyVersion1 ? kLegacySectionCount1 : kSectionCount;
-  if (sections != expected_sections) {
-    return Status::InvalidArgument("unexpected snapshot section count");
+  if (sections != kSectionCount) {
+    return RejectFormat(FormatFault::kMismatch,
+                        "snapshot section count " + std::to_string(sections) +
+                            " != " + std::to_string(kSectionCount),
+                        fault);
   }
+  return WalkSections(data, reader.offset(), kSectionCount);
+}
 
-  std::string payload;
-  ENLD_RETURN_IF_ERROR(ReadSection(&reader, kSnapshotSectionMeta, &payload));
+Status DecodeSnapshotState(std::string_view data,
+                           SnapshotContents* contents) {
+  StatusOr<SectionWalk> walk = WalkSnapshotState(data);
+  if (!walk.ok()) return walk.status();
+  ENLD_RETURN_IF_ERROR(walk->Verify());
+  auto payload = [&](uint32_t id) { return walk->sections[id - 1].payload; };
+
   {
-    BinaryReader meta(payload);
+    BinaryReader meta(payload(kSnapshotSectionMeta));
     uint32_t classes = 0;
     if (!meta.ReadU64(&contents->seq) ||
         !meta.ReadU64(&contents->config_fingerprint) ||
@@ -197,9 +208,8 @@ Status DecodeSnapshotState(const std::string& data,
     contents->inventory_classes = static_cast<int>(classes);
   }
 
-  ENLD_RETURN_IF_ERROR(ReadSection(&reader, kSnapshotSectionStats, &payload));
   {
-    BinaryReader stats(payload);
+    BinaryReader stats(payload(kSnapshotSectionStats));
     if (!stats.ReadU64(&contents->stats.requests) ||
         !stats.ReadU64(&contents->stats.samples_processed) ||
         !stats.ReadU64(&contents->stats.samples_flagged_noisy) ||
@@ -210,15 +220,14 @@ Status DecodeSnapshotState(const std::string& data,
     }
   }
 
-  ENLD_RETURN_IF_ERROR(ReadSection(&reader, kSnapshotSectionRng, &payload));
   {
-    BinaryReader rng(payload);
+    BinaryReader rng(payload(kSnapshotSectionRng));
     uint8_t has_cached = 0;
-    if (!rng.ReadU64(&contents->framework.rng.state[0]) ||
-        !rng.ReadU64(&contents->framework.rng.state[1]) ||
-        !rng.ReadU64(&contents->framework.rng.state[2]) ||
-        !rng.ReadU64(&contents->framework.rng.state[3]) ||
-        !rng.ReadF64(&contents->framework.rng.cached_gaussian) ||
+    bool ok = true;
+    for (uint64_t& word : contents->framework.rng.state) {
+      ok = ok && rng.ReadU64(&word);
+    }
+    if (!ok || !rng.ReadF64(&contents->framework.rng.cached_gaussian) ||
         !rng.ReadU8(&has_cached) || has_cached > 1 ||
         rng.remaining() != 0) {
       return Status::InvalidArgument("malformed snapshot RNG section");
@@ -226,14 +235,14 @@ Status DecodeSnapshotState(const std::string& data,
     contents->framework.rng.has_cached_gaussian = has_cached == 1;
   }
 
-  ENLD_RETURN_IF_ERROR(
-      ReadSection(&reader, kSnapshotSectionConditional, &payload));
   {
-    BinaryReader cond(payload);
+    const std::string_view bytes = payload(kSnapshotSectionConditional);
+    BinaryReader cond(bytes);
     uint32_t classes = 0;
     if (!cond.ReadU32(&classes) ||
-        cond.remaining() !=
-            static_cast<size_t>(classes) * classes * sizeof(double)) {
+        !HoldsExactly(bytes.substr(cond.offset()),
+                      static_cast<uint64_t>(classes) * classes,
+                      sizeof(double))) {
       return Status::InvalidArgument(
           "malformed snapshot conditional-probability section");
     }
@@ -244,87 +253,142 @@ Status DecodeSnapshotState(const std::string& data,
     }
   }
 
-  ENLD_RETURN_IF_ERROR(
-      ReadSection(&reader, kSnapshotSectionSelected, &payload));
   {
-    BinaryReader sel(payload);
+    const std::string_view bytes = payload(kSnapshotSectionSelected);
+    BinaryReader sel(bytes);
     uint64_t count = 0;
     if (!sel.ReadU64(&count) ||
-        sel.remaining() != (static_cast<size_t>(count) + 7) / 8) {
+        sel.remaining() != count / 8 + (count % 8 != 0)) {
       return Status::InvalidArgument(
           "malformed snapshot clean-selection section");
     }
-    std::string bitmap;
-    sel.ReadBytes(sel.remaining(), &bitmap);
-    contents->framework.selected_clean.resize(static_cast<size_t>(count));
-    for (size_t i = 0; i < contents->framework.selected_clean.size(); ++i) {
+    const std::string_view bitmap = bytes.substr(sel.offset());
+    contents->framework.selected_clean.resize(count);
+    for (size_t i = 0; i < count; ++i) {
       contents->framework.selected_clean[i] =
           (static_cast<unsigned char>(bitmap[i / 8]) >> (i % 8)) & 1u;
     }
   }
 
-  if (version != kLegacyVersion1) {
-    ENLD_RETURN_IF_ERROR(
-        ReadSection(&reader, kSnapshotSectionAdmission, &payload));
-    BinaryReader admission(payload);
-    uint32_t reasons = 0;
-    uint8_t pending = 0;
-    if (!admission.ReadU64(&contents->stats.samples_quarantined) ||
-        !admission.ReadU64(&contents->stats.requests_rejected) ||
-        !admission.ReadU64(&contents->stats.update_retries) ||
-        !admission.ReadU32(&reasons) ||
-        reasons != static_cast<uint32_t>(kNumRejectionReasons)) {
-      return Status::InvalidArgument("malformed snapshot admission section");
-    }
-    for (size_t i = 0; i < kNumRejectionReasons; ++i) {
-      if (!admission.ReadU64(&contents->stats.quarantined_by_reason[i])) {
-        return Status::InvalidArgument(
-            "malformed snapshot admission section");
-      }
-    }
-    if (!admission.ReadU8(&pending) || pending > 1) {
-      return Status::InvalidArgument("malformed snapshot admission section");
-    }
-    if (version >= kSnapshotVersion &&
-        !admission.ReadU64(&contents->stats.requests_deadline_exceeded)) {
-      return Status::InvalidArgument("malformed snapshot admission section");
-    }
-    if (admission.remaining() != 0) {
-      return Status::InvalidArgument("malformed snapshot admission section");
-    }
-    contents->update_pending = pending == 1;
+  BinaryReader admission(payload(kSnapshotSectionAdmission));
+  uint32_t reasons = 0;
+  uint8_t pending = 0;
+  bool ok = admission.ReadU64(&contents->stats.samples_quarantined) &&
+            admission.ReadU64(&contents->stats.requests_rejected) &&
+            admission.ReadU64(&contents->stats.update_retries) &&
+            admission.ReadU32(&reasons) &&
+            reasons == static_cast<uint32_t>(kNumRejectionReasons);
+  for (size_t i = 0; ok && i < kNumRejectionReasons; ++i) {
+    ok = admission.ReadU64(&contents->stats.quarantined_by_reason[i]);
   }
-
-  if (reader.remaining() != 0) {
-    return Status::InvalidArgument(
-        "trailing bytes after last snapshot section");
+  if (!ok || !admission.ReadU8(&pending) || pending > 1 ||
+      !admission.ReadU64(&contents->stats.requests_deadline_exceeded) ||
+      admission.remaining() != 0) {
+    return Status::InvalidArgument("malformed snapshot admission section");
   }
+  contents->update_pending = pending == 1;
   return Status::OK();
 }
 
-namespace {
-
-/// Verifies one manifest-listed file's size and CRC and returns nothing
-/// but the Status; Load re-reads the file via its typed loader afterwards.
-Status VerifyListedFile(const std::string& dir, const std::string& name,
-                        uint64_t bytes, uint32_t crc) {
-  StatusOr<std::string> data = ReadFile(dir + "/" + name);
-  if (!data.ok()) return data.status();
-  if (data.value().size() != bytes) {
-    return Status::InvalidArgument(
-        name + " is " + std::to_string(data.value().size()) +
-        " bytes, snapshot manifest says " + std::to_string(bytes) +
-        " (truncated?)");
+const SnapshotFileEntry* SnapshotManifest::Find(
+    const std::string& file) const {
+  for (const SnapshotFileEntry& entry : files) {
+    if (entry.file == file) return &entry;
   }
-  if (Crc32(data.value()) != crc) {
-    CrcFailures()->Increment();
-    return Status::InvalidArgument(
-        name + " CRC32 does not match the snapshot manifest");
-  }
-  return Status::OK();
+  return nullptr;
 }
 
-}  // namespace
+std::string EncodeSnapshotManifest(
+    uint64_t seq, uint64_t config_fingerprint,
+    const std::vector<SnapshotFileEntry>& files) {
+  JsonValue manifest = JsonValue::Object();
+  manifest.Set("schema", JsonValue::String(kSnapshotSchema));
+  manifest.Set("seq", JsonValue::Number(static_cast<double>(seq)));
+  manifest.Set("config_fingerprint",
+               JsonValue::String(FingerprintHex(config_fingerprint)));
+  JsonValue listed = JsonValue::Array();
+  for (const SnapshotFileEntry& file : files) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("file", JsonValue::String(file.file));
+    entry.Set("bytes", JsonValue::Number(static_cast<double>(file.bytes)));
+    entry.Set("crc32", JsonValue::Number(static_cast<double>(file.crc32)));
+    listed.items().push_back(std::move(entry));
+  }
+  manifest.Set("files", std::move(listed));
+  JsonValue datasets = JsonValue::Array();
+  datasets.items().push_back(JsonValue::String(kTrainDir));
+  datasets.items().push_back(JsonValue::String(kCandidateDir));
+  manifest.Set("datasets", std::move(datasets));
+  return manifest.ToString();
+}
+
+SnapshotManifest ParseSnapshotManifest(const std::string& text,
+                                       uint64_t seq) {
+  SnapshotManifest manifest;
+  auto problem = [&](FormatFault fault, std::string detail) {
+    manifest.problems.push_back({fault, std::move(detail)});
+  };
+  StatusOr<JsonValue> parsed = JsonValue::Parse(text);
+  if (!parsed.ok()) {
+    problem(FormatFault::kMalformed, parsed.status().message());
+    return manifest;
+  }
+  const JsonValue& root = parsed.value();
+  if (!root.is_object()) {
+    problem(FormatFault::kMalformed, "snapshot manifest is not a JSON object");
+    return manifest;
+  }
+  const JsonValue* schema = root.Find("schema");
+  if (schema == nullptr || !schema->is_string() ||
+      schema->AsString() != kSnapshotSchema) {
+    problem(FormatFault::kMalformed,
+            "missing or unsupported snapshot manifest schema");
+  }
+  uint64_t listed_seq = 0;
+  if (!GetUInt(root, "seq", &listed_seq).ok() || listed_seq != seq) {
+    problem(FormatFault::kMismatch,
+            "snapshot manifest seq does not match its directory");
+  }
+  const JsonValue* fingerprint = root.Find("config_fingerprint");
+  const std::string hex =
+      fingerprint != nullptr && fingerprint->is_string()
+          ? fingerprint->AsString()
+          : std::string();
+  char* end = nullptr;
+  manifest.config_fingerprint = std::strtoull(hex.c_str(), &end, 16);
+  if (hex.empty() || *end != '\0') {
+    problem(FormatFault::kMalformed,
+            "missing or malformed config fingerprint: '" + hex + "'");
+  }
+
+  const JsonValue* files = root.Find("files");
+  if (files == nullptr || !files->is_array()) {
+    problem(FormatFault::kMalformed, "snapshot manifest has no 'files' array");
+    return manifest;
+  }
+  for (const JsonValue& item : files->items()) {
+    const JsonValue* file = item.Find("file");
+    SnapshotFileEntry entry;
+    uint64_t crc = 0;
+    if (file == nullptr || !file->is_string() || file->AsString().empty() ||
+        file->AsString().find('/') != std::string::npos ||
+        !GetUInt(item, "bytes", &entry.bytes).ok() ||
+        !GetUInt(item, "crc32", &crc, std::numeric_limits<uint32_t>::max())
+             .ok()) {
+      problem(FormatFault::kMalformed, "malformed snapshot file entry");
+      continue;
+    }
+    entry.file = file->AsString();
+    entry.crc32 = static_cast<uint32_t>(crc);
+    manifest.files.push_back(std::move(entry));
+  }
+  if (manifest.Find(kStateFile) == nullptr ||
+      manifest.Find(kModelFile) == nullptr) {
+    problem(FormatFault::kMalformed,
+            "snapshot manifest must list state.bin and model.bin");
+  }
+  return manifest;
+}
 
 uint64_t FingerprintConfig(const DataPlatformConfig& config) {
   std::string bytes;
@@ -366,20 +430,10 @@ StatusOr<uint64_t> SnapshotStore::LatestSeq() const {
   while (!name.empty() && (name.back() == '\n' || name.back() == '\r')) {
     name.pop_back();
   }
-  if (name.size() != 11 || name.compare(0, 5, "snap-") != 0) {
+  const uint64_t seq = SeqOfDirName(name);
+  if (seq == 0) {
     return Status::InvalidArgument("malformed CURRENT pointer: '" + name +
                                    "'");
-  }
-  uint64_t seq = 0;
-  for (size_t i = 5; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return Status::InvalidArgument("malformed CURRENT pointer: '" + name +
-                                     "'");
-    }
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  if (seq == 0) {
-    return Status::InvalidArgument("CURRENT points at sequence 0");
   }
   return seq;
 }
@@ -389,18 +443,8 @@ std::vector<uint64_t> SnapshotStore::ListSeqs() const {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(root_, ec)) {
     if (!entry.is_directory(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() != 11 || name.compare(0, 5, "snap-") != 0) continue;
-    uint64_t seq = 0;
-    bool numeric = true;
-    for (size_t i = 5; i < name.size(); ++i) {
-      if (name[i] < '0' || name[i] > '9') {
-        numeric = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-    }
-    if (numeric && seq > 0) seqs.push_back(seq);
+    const uint64_t seq = SeqOfDirName(entry.path().filename().string());
+    if (seq > 0) seqs.push_back(seq);
   }
   std::sort(seqs.begin(), seqs.end());
   return seqs;
@@ -455,28 +499,12 @@ StatusOr<uint64_t> SnapshotStore::Save(const SnapshotContents& contents) {
                                           staging + "/" + kCandidateDir,
                                           kCandidateDir));
 
-  JsonValue manifest = JsonValue::Object();
-  manifest.Set("schema", JsonValue::String(kSnapshotSchema));
-  manifest.Set("seq", JsonValue::Number(static_cast<double>(seq)));
-  manifest.Set("config_fingerprint",
-               JsonValue::String(FingerprintHex(contents.config_fingerprint)));
-  JsonValue files = JsonValue::Array();
-  const std::pair<const char*, const std::string*> listed[] = {
-      {kStateFile, &state}, {kModelFile, &model_bytes}};
-  for (const auto& [file_name, bytes] : listed) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("file", JsonValue::String(file_name));
-    entry.Set("bytes", JsonValue::Number(static_cast<double>(bytes->size())));
-    entry.Set("crc32", JsonValue::Number(static_cast<double>(Crc32(*bytes))));
-    files.items().push_back(std::move(entry));
-  }
-  manifest.Set("files", std::move(files));
-  JsonValue datasets = JsonValue::Array();
-  datasets.items().push_back(JsonValue::String(kTrainDir));
-  datasets.items().push_back(JsonValue::String(kCandidateDir));
-  manifest.Set("datasets", std::move(datasets));
-  ENLD_RETURN_IF_ERROR(WriteFileDurable(staging + "/" + kManifestFile,
-                                        manifest.ToString()));
+  const std::vector<SnapshotFileEntry> listed = {
+      {kStateFile, state.size(), Crc32(state)},
+      {kModelFile, model_bytes.size(), Crc32(model_bytes)}};
+  ENLD_RETURN_IF_ERROR(WriteFileDurable(
+      staging + "/" + kManifestFile,
+      EncodeSnapshotManifest(seq, contents.config_fingerprint, listed)));
 
   // Publish: rename the complete staging dir into place, persist the
   // parent, then (and only then) move CURRENT forward. The staging dir
@@ -534,87 +562,62 @@ size_t SnapshotStore::GarbageCollect() const {
   return removed;
 }
 
+Status CheckSnapshotContents(const SnapshotContents& contents) {
+  const Dataset& candidate_set = *contents.framework.candidate_set;
+  if (contents.framework.selected_clean.size() != candidate_set.size()) {
+    return Status::InvalidArgument(
+        "clean-selection bitmap length does not match the candidate set");
+  }
+  if (contents.framework.conditional.size() !=
+      static_cast<size_t>(candidate_set.num_classes)) {
+    return Status::InvalidArgument(
+        "conditional-probability size does not match num_classes");
+  }
+  if (!candidate_set.empty() &&
+      (candidate_set.dim() != contents.inventory_dim ||
+       candidate_set.num_classes != contents.inventory_classes)) {
+    return Status::InvalidArgument(
+        "snapshot inventory geometry disagrees with its candidate set");
+  }
+  return Status::OK();
+}
+
 StatusOr<SnapshotContents> SnapshotStore::Load(uint64_t seq) const {
   ENLD_TRACE_SPAN("store/load_snapshot");
   const std::string dir = root_ + "/" + DirName(seq);
 
   StatusOr<std::string> manifest_text = ReadFile(dir + "/" + kManifestFile);
   if (!manifest_text.ok()) return manifest_text.status();
-  StatusOr<JsonValue> parsed = JsonValue::Parse(manifest_text.value());
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return Status::InvalidArgument("snapshot manifest is not a JSON object");
-  }
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->AsString() != kSnapshotSchema) {
-    return Status::InvalidArgument("unsupported snapshot manifest schema");
-  }
-  const JsonValue* seq_field = root.Find("seq");
-  if (seq_field == nullptr || !seq_field->is_number() ||
-      static_cast<uint64_t>(seq_field->AsNumber()) != seq) {
-    return Status::InvalidArgument(
-        "snapshot manifest seq does not match its directory");
-  }
-  const JsonValue* fingerprint_field = root.Find("config_fingerprint");
-  if (fingerprint_field == nullptr || !fingerprint_field->is_string()) {
-    return Status::InvalidArgument(
-        "snapshot manifest is missing config_fingerprint");
-  }
-  char* end = nullptr;
-  const std::string& hex = fingerprint_field->AsString();
-  const uint64_t manifest_fingerprint =
-      std::strtoull(hex.c_str(), &end, 16);
-  if (hex.empty() || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument("malformed config fingerprint: '" + hex +
-                                   "'");
+  const SnapshotManifest manifest =
+      ParseSnapshotManifest(manifest_text.value(), seq);
+  if (!manifest.problems.empty()) {
+    return Status::InvalidArgument(manifest.problems.front().detail);
   }
 
-  const JsonValue* files = root.Find("files");
-  if (files == nullptr || !files->is_array() || files->items().empty()) {
-    return Status::InvalidArgument("snapshot manifest has no 'files' array");
-  }
-  bool state_listed = false, model_listed = false;
-  for (const JsonValue& item : files->items()) {
-    const JsonValue* file_field = item.Find("file");
-    const JsonValue* bytes_field = item.Find("bytes");
-    const JsonValue* crc_field = item.Find("crc32");
-    if (file_field == nullptr || !file_field->is_string() ||
-        bytes_field == nullptr || !bytes_field->is_number() ||
-        crc_field == nullptr || !crc_field->is_number()) {
-      return Status::InvalidArgument("malformed snapshot file entry");
-    }
-    const std::string& file_name = file_field->AsString();
-    if (file_name.empty() || file_name.find('/') != std::string::npos) {
-      return Status::InvalidArgument(
-          "snapshot file name must be a plain name");
-    }
-    ENLD_RETURN_IF_ERROR(VerifyListedFile(
-        dir, file_name, static_cast<uint64_t>(bytes_field->AsNumber()),
-        static_cast<uint32_t>(crc_field->AsNumber())));
-    state_listed = state_listed || file_name == kStateFile;
-    model_listed = model_listed || file_name == kModelFile;
-  }
-  if (!state_listed || !model_listed) {
-    return Status::InvalidArgument(
-        "snapshot manifest must list state.bin and model.bin");
+  // Every listed file is read once: its size and CRC are checked against
+  // the manifest, and state.bin and model.bin decode from those bytes.
+  std::string state, model_bytes;
+  for (const SnapshotFileEntry& entry : manifest.files) {
+    StatusOr<std::string> data = ReadFile(dir + "/" + entry.file);
+    if (!data.ok()) return data.status();
+    ENLD_RETURN_IF_ERROR(
+        VerifyListedBytes(entry.file, *data, entry.bytes, entry.crc32));
+    if (entry.file == kStateFile) state = std::move(data).value();
+    if (entry.file == kModelFile) model_bytes = std::move(data).value();
   }
 
   SnapshotContents contents;
-  StatusOr<std::string> state = ReadFile(dir + "/" + kStateFile);
-  if (!state.ok()) return state.status();
-  ENLD_RETURN_IF_ERROR(DecodeSnapshotState(state.value(), &contents));
+  ENLD_RETURN_IF_ERROR(DecodeSnapshotState(state, &contents));
   if (contents.seq != seq) {
     return Status::InvalidArgument(
         "state.bin seq does not match the snapshot directory");
   }
-  if (contents.config_fingerprint != manifest_fingerprint) {
+  if (contents.config_fingerprint != manifest.config_fingerprint) {
     return Status::InvalidArgument(
         "state.bin config fingerprint disagrees with the manifest");
   }
 
-  StatusOr<ModelFile> model = LoadModelFile(dir + "/" + kModelFile);
+  StatusOr<ModelFile> model = DecodeModelFile(model_bytes);
   if (!model.ok()) return model.status();
   contents.framework.model_dims = std::move(model.value().dims);
   contents.framework.model_weights = std::move(model.value().weights);
@@ -627,17 +630,7 @@ StatusOr<SnapshotContents> SnapshotStore::Load(uint64_t seq) const {
   if (!candidate.ok()) return candidate.status();
   contents.framework.candidate_set =
       std::make_shared<const Dataset>(std::move(candidate.value()));
-  const Dataset& candidate_set = *contents.framework.candidate_set;
-
-  if (contents.framework.selected_clean.size() != candidate_set.size()) {
-    return Status::InvalidArgument(
-        "clean-selection bitmap length does not match the candidate set");
-  }
-  if (contents.framework.conditional.size() !=
-      static_cast<size_t>(candidate_set.num_classes)) {
-    return Status::InvalidArgument(
-        "conditional-probability size does not match num_classes");
-  }
+  ENLD_RETURN_IF_ERROR(CheckSnapshotContents(contents));
 
   static telemetry::Counter* loaded =
       telemetry::MetricsRegistry::Global().GetCounter(
@@ -712,12 +705,6 @@ Status DataPlatform::RestoreFromSnapshot(const std::string& dir) {
   }
   const uint64_t dim = contents.inventory_dim;
   const int classes = contents.inventory_classes;
-  const Dataset& candidate_set = *contents.framework.candidate_set;
-  if (!candidate_set.empty() &&
-      (candidate_set.dim() != dim || candidate_set.num_classes != classes)) {
-    return Status::InvalidArgument(
-        "snapshot inventory geometry disagrees with its candidate set");
-  }
 
   // RestoreState validates everything before mutating; only after it
   // commits are the platform-level fields replaced, so a failed restore

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "enld/platform.h"
+#include "store/io.h"
 
 namespace enld {
 namespace store {
@@ -38,9 +40,9 @@ namespace store {
 /// DataPlatform::RestoreFromSnapshot.
 
 /// Section ids inside state.bin (mirrored by tools/check_snapshot.py).
-/// Version history: v1 wrote sections 1–5; v2 appends the admission
-/// section; v3 (this build) appends the deadline-exceeded counter to the
-/// admission section's payload. Loads accept all three.
+/// state.bin is at version 3, the only version this build reads or
+/// writes: six sections, the admission section ending with the
+/// deadline-exceeded counter.
 inline constexpr uint32_t kSnapshotSectionMeta = 1;
 inline constexpr uint32_t kSnapshotSectionStats = 2;
 inline constexpr uint32_t kSnapshotSectionRng = 3;
@@ -72,7 +74,7 @@ struct SnapshotContents {
   uint64_t inventory_dim = 0;
   int inventory_classes = 0;
   /// Whether a due auto-update was still deferred when the snapshot was
-  /// taken (snapshot v2; defaults to false when restoring a v1 snapshot).
+  /// taken.
   bool update_pending = false;
 };
 
@@ -81,12 +83,63 @@ struct SnapshotContents {
 /// own files). Deterministic: identical contents yield identical bytes.
 std::string EncodeSnapshotState(const SnapshotContents& contents);
 
+/// Parses state.bin's header (magic, byte-order tag, version 3, six
+/// sections) and walks its sections. InvalidArgument when the header is
+/// rejected, with its kind in `*fault` when given; section faults are left
+/// in the walk for the caller to judge. The scrubber's state.bin check.
+StatusOr<SectionWalk> WalkSnapshotState(std::string_view data,
+                                        FormatFault* fault = nullptr);
+
 /// Parses a state.bin buffer back into `contents`, verifying every section
 /// envelope. The repairer uses this directly to salvage a snapshot whose
 /// other files are damaged; SnapshotStore::Load stitches the model and
 /// datasets in afterwards.
-Status DecodeSnapshotState(const std::string& data,
-                           SnapshotContents* contents);
+Status DecodeSnapshotState(std::string_view data, SnapshotContents* contents);
+
+/// The cross-file invariants of complete contents: S_c covers the
+/// candidate set, P̃ is num_classes square, and a non-empty candidate set
+/// has the inventory geometry. SnapshotStore::Load enforces them, and
+/// repair checks them before it publishes.
+Status CheckSnapshotContents(const SnapshotContents& contents);
+
+/// One file a snapshot's MANIFEST.json lists, with the size and CRC32 its
+/// bytes must match.
+struct SnapshotFileEntry {
+  std::string file;
+  uint64_t bytes = 0;
+  uint32_t crc32 = 0;
+};
+
+/// A defect met while reading a MANIFEST.json.
+struct ManifestProblem {
+  FormatFault fault = FormatFault::kMalformed;
+  std::string detail;
+};
+
+/// A snapshot's MANIFEST.json as far as it reads: a partly damaged
+/// manifest still yields the entries that parse, and every problem met is
+/// listed. The manifest is sound only when there is none.
+struct SnapshotManifest {
+  uint64_t config_fingerprint = 0;
+  std::vector<SnapshotFileEntry> files;
+  std::vector<ManifestProblem> problems;
+
+  /// The entry listing `file`, or nullptr.
+  const SnapshotFileEntry* Find(const std::string& file) const;
+};
+
+/// The MANIFEST.json text of snapshot `seq`: schema, seq, config
+/// fingerprint, the listed `files` and the dataset directories.
+std::string EncodeSnapshotManifest(
+    uint64_t seq, uint64_t config_fingerprint,
+    const std::vector<SnapshotFileEntry>& files);
+
+/// Reads the MANIFEST.json text of snapshot `seq`: the schema, the seq
+/// (a mismatch is a kMismatch problem), the config fingerprint, every
+/// file entry (a plain name, a byte size and a CRC32), and that state.bin
+/// and model.bin are listed. The one reader of MANIFEST.json, shared by
+/// SnapshotStore::Load, the scrubber and the repairer.
+SnapshotManifest ParseSnapshotManifest(const std::string& text, uint64_t seq);
 
 /// Manages the snapshot directory: sequential saves, CURRENT tracking,
 /// keep-last-N retention, and fully validated loads.

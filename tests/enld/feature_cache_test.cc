@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,62 +79,6 @@ TEST(FeatureCacheUnitTest, ViewKeyedOnVersion) {
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
-TEST(FeatureCacheUnitTest, IndexKeyedOnVersionAndPool) {
-  FeatureCache cache;
-  const uint64_t v = cache.model_version();
-  const uint64_t key_a = FingerprintPositions({0, 1, 2});
-  const uint64_t key_b = FingerprintPositions({0, 1, 3});
-  EXPECT_NE(key_a, key_b);
-  EXPECT_EQ(cache.FindIndex(v, key_a), nullptr);
-
-  Matrix features(4, 2, 1.0f);
-  auto index = std::make_shared<const ClassKnnIndex>(
-      features, std::vector<int>{0, 0, 0, 0}, std::vector<size_t>{0, 1, 2},
-      1);
-  cache.StoreIndex(v, key_a, index);
-  EXPECT_EQ(cache.FindIndex(v, key_a), index);
-  EXPECT_EQ(cache.FindIndex(v, key_b), nullptr);      // Other pool.
-  EXPECT_EQ(cache.FindIndex(v + 1, key_a), nullptr);  // Other version.
-  EXPECT_EQ(cache.stats().index_hits, 1u);
-  EXPECT_EQ(cache.stats().index_misses, 3u);
-
-  cache.BumpModelVersion();
-  EXPECT_EQ(cache.FindIndex(cache.model_version(), key_a), nullptr);
-}
-
-/// A replayed request stream visits pools cyclically (a, b, c, a, b, c).
-/// A single-slot cache would thrash to 0 hits on that pattern; the LRU
-/// set must hit every pool on the second pass.
-TEST(FeatureCacheUnitTest, IndexLruSurvivesCyclicReplay) {
-  FeatureCache cache;
-  const uint64_t v = cache.model_version();
-  Matrix features(4, 2, 1.0f);
-  auto make_index = [&] {
-    return std::make_shared<const ClassKnnIndex>(
-        features, std::vector<int>{0, 0, 0, 0}, std::vector<size_t>{0, 1, 2},
-        1);
-  };
-  std::vector<uint64_t> keys;
-  for (size_t i = 0; i < 3; ++i) {
-    keys.push_back(FingerprintPositions({i, i + 1}));
-  }
-  for (uint64_t key : keys) cache.StoreIndex(v, key, make_index());
-  for (uint64_t key : keys) {
-    EXPECT_NE(cache.FindIndex(v, key), nullptr) << key;
-  }
-  EXPECT_EQ(cache.stats().index_hits, 3u);
-
-  // Filling past capacity evicts the least-recently-used entries first.
-  for (size_t i = 0; i < FeatureCache::kMaxIndexEntries; ++i) {
-    cache.StoreIndex(v, FingerprintPositions({100 + i}), make_index());
-  }
-  EXPECT_EQ(cache.FindIndex(v, keys[0]), nullptr);
-  EXPECT_NE(
-      cache.FindIndex(
-          v, FingerprintPositions({100 + FeatureCache::kMaxIndexEntries - 1})),
-      nullptr);
-}
-
 TEST_F(FeatureCacheTest, SelectViewRowsMatchesDirectCompute) {
   const Dataset& full_set = workload_->incremental[0];
   Rng rng(11);
@@ -153,7 +96,7 @@ TEST_F(FeatureCacheTest, SelectViewRowsMatchesDirectCompute) {
   EXPECT_EQ(selected.predicted, direct.predicted);
 }
 
-TEST_F(FeatureCacheTest, CachedDetectionIsByteIdenticalAndBuildsFewerTrees) {
+TEST_F(FeatureCacheTest, CachedDetectionIsByteIdenticalAndBuildsSameTrees) {
   EnldConfig cached_config = FastEnldConfig();
   EnldConfig uncached_config = cached_config;
   uncached_config.use_feature_cache = false;
@@ -169,7 +112,8 @@ TEST_F(FeatureCacheTest, CachedDetectionIsByteIdenticalAndBuildsFewerTrees) {
   uncached.Setup(workload_->inventory);
 
   // Detect the same dataset twice per framework: the second request reuses
-  // the cached view and index (same model version, same I' pool).
+  // the cached view (same model version). The view cache saves forward
+  // passes only; every sampling round builds its class KD-trees afresh.
   const Dataset& d = workload_->incremental[0];
   const uint64_t uncached_before = trees_built->Value();
   const DetectionResult u1 = uncached.Detect(d);
@@ -183,10 +127,9 @@ TEST_F(FeatureCacheTest, CachedDetectionIsByteIdenticalAndBuildsFewerTrees) {
 
   ExpectSameResult(c1, u1);
   ExpectSameResult(c2, u2);
-  EXPECT_LT(cached_trees, uncached_trees);
+  EXPECT_EQ(cached_trees, uncached_trees);
   const FeatureCache::Stats& stats = cached.feature_cache().stats();
   EXPECT_GE(stats.view_hits, 1u);
-  EXPECT_GE(stats.index_hits, 1u);
 }
 
 TEST_F(FeatureCacheTest, TrainerUpdatesInvalidate) {

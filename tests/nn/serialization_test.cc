@@ -1,8 +1,10 @@
 #include "nn/serialization.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -131,31 +133,58 @@ TEST(ModelSerializationTest, RejectsForeignEndianFile) {
   std::remove(path.c_str());
 }
 
-TEST(ModelSerializationTest, LegacyTaglessFormatStillLoads) {
-  // Hand-write a v1 file (no byte-order tag) and check the current reader
-  // accepts it: {2, 4, 3} needs 2*4+4 + 4*3+3 = 27 weights.
+TEST(ModelSerializationTest, LegacyTaglessFormatIsRejected) {
+  // A well-formed file in the retired tag-less "ENLDMDL1" format: {2, 4, 3}
+  // needs 2*4+4 + 4*3+3 = 27 weights. One format version is read.
   const std::string path = TempPath("legacy_v1.enld");
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fwrite("ENLDMDL1", 1, 8, f);
   const uint64_t dims[] = {3, 2, 4, 3};  // count, then the dims.
-  std::fwrite(&dims[0], sizeof(uint64_t), 1, f);
-  ASSERT_EQ(dims[0] + 1, 4u);
-  std::fwrite(&dims[1], sizeof(uint64_t), 3, f);
+  std::fwrite(dims, sizeof(uint64_t), 4, f);
   const uint64_t count = 2 * 4 + 4 + 4 * 3 + 3;
   std::fwrite(&count, sizeof(count), 1, f);
-  std::vector<float> weights(count);
-  for (size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = static_cast<float>(i) * 0.25f;
-  }
+  const std::vector<float> weights(count, 0.25f);
   std::fwrite(weights.data(), sizeof(float), weights.size(), f);
   std::fclose(f);
 
   const auto loaded = LoadModelFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->dims, (std::vector<size_t>{2, 4, 3}));
-  EXPECT_EQ(loaded->weights, weights);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+TEST(ModelSerializationTest, WeightCountBeyondTheBytesIsRejected) {
+  // Regression: 52 bytes declaring dims {2^24, 2^24, 1} and the weight
+  // count they imply (2^48 + 2^25 + 1) used to size the weight vector
+  // before reading a weight, throwing std::bad_alloc.
+  std::string bytes = "ENLDMDL2";
+  auto append = [&bytes](auto value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(uint32_t{0x01020304u});
+  append(uint64_t{3});
+  append(uint64_t{1} << 24);
+  append(uint64_t{1} << 24);
+  append(uint64_t{1});
+  append((uint64_t{1} << 48) + (uint64_t{1} << 25) + 1);
+  ASSERT_EQ(bytes.size(), 52u);
+  const auto decoded = DecodeModelFile(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ModelSerializationTest, DecodeInvertsEncodeAndRejectsTrailingBytes) {
+  ModelFile file;
+  file.dims = {3, 5, 2};
+  file.weights.assign(3 * 5 + 5 + 5 * 2 + 2, 0.5f);
+  const std::string bytes = EncodeModelFile(file);
+  const auto decoded = DecodeModelFile(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->dims, file.dims);
+  EXPECT_EQ(decoded->weights, file.weights);
+  EXPECT_EQ(DecodeModelFile(bytes + '\0').status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ModelSerializationTest, ModelFileRoundTripIsExact) {

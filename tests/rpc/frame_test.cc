@@ -55,7 +55,7 @@ TEST(FrameCodec, RoundTripsHeaderAndPayload) {
 
   const StatusOr<Frame> decoded = DecodeFrame(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->header.version, kFrameVersion);
+  EXPECT_EQ(static_cast<uint8_t>(encoded[12]), kFrameVersion);
   EXPECT_EQ(decoded->header.type, FrameType::kDetectRequest);
   EXPECT_EQ(decoded->header.sequence, 0x0123456789abcdefull);
   EXPECT_EQ(decoded->header.request_id, 0xfeedfacecafef00dull);
@@ -108,14 +108,17 @@ TEST(FrameCodec, FlippedHeaderBitIsRetryableNotProtocolError) {
 }
 
 TEST(FrameCodec, UnsupportedVersionIsProtocolViolation) {
-  // Version 3 doesn't exist yet. The decoder assumes the current (v2)
-  // layout for any non-v1 version byte, so with the CRC repaired the
-  // failure is the post-CRC version check — a protocol violation.
-  std::string encoded = EncodeFrame(RequestHeader(), "x");
-  encoded[12] = 3;
-  FixHeaderCrc(&encoded);
-  EXPECT_EQ(DecodeFrameHeader(encoded).status().code(),
-            StatusCode::kInvalidArgument);
+  // Version 2 is the only version: the retired version 1 and the
+  // not-yet-existing version 3 both fail the post-CRC version check once
+  // the CRC is repaired — a protocol violation, not wire damage.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{3}}) {
+    std::string encoded = EncodeFrame(RequestHeader(), "x");
+    encoded[12] = static_cast<char>(version);
+    FixHeaderCrc(&encoded);
+    EXPECT_EQ(DecodeFrameHeader(encoded).status().code(),
+              StatusCode::kInvalidArgument)
+        << "version " << int{version};
+  }
 }
 
 TEST(FrameCodec, UnknownFrameTypeIsProtocolViolation) {
@@ -157,43 +160,6 @@ TEST(FrameCodec, TrailingBytesAreProtocolViolation) {
   encoded.push_back('\0');
   EXPECT_EQ(DecodeFrame(encoded).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(FrameCodec, V1FrameStillDecodes) {
-  // Backward compatibility: a frame from a pre-request-id (v1) peer must
-  // decode on a v2 endpoint with every shared field intact. The v1 header
-  // has no request-id slot, so the decoded id is 0 (= untagged).
-  const std::string payload = "payload from a v1 peer";
-  const std::string encoded = EncodeFrameV1(RequestHeader(), payload);
-  ASSERT_EQ(encoded.size(), kFrameHeaderBytesV1 + payload.size());
-
-  const StatusOr<Frame> decoded = DecodeFrame(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->header.version, kFrameVersionV1);
-  EXPECT_EQ(decoded->header.request_id, 0u);
-  EXPECT_EQ(decoded->header.type, FrameType::kDetectRequest);
-  EXPECT_EQ(decoded->header.sequence, 0x0123456789abcdefull);
-  EXPECT_EQ(decoded->header.deadline_seconds, 2.5);
-  EXPECT_EQ(decoded->payload, payload);
-}
-
-TEST(FrameCodec, V1TruncatedPrefixIsRetryable) {
-  const std::string encoded = EncodeFrameV1(RequestHeader(), "x");
-  EXPECT_EQ(DecodeFrameHeader(encoded.substr(0, kFrameHeaderBytesV1 - 1))
-                .status()
-                .code(),
-            StatusCode::kUnavailable);
-}
-
-TEST(FrameCodec, V1FlippedHeaderBitIsRetryable) {
-  // The v1 header CRC covers its own (shorter) span, so wire damage to a
-  // v1 frame still reads as retryable on a v2 endpoint.
-  std::string encoded = EncodeFrameV1(RequestHeader(), "x");
-  encoded[15] ^= 0x08;  // a sequence byte in the v1 layout
-  const uint64_t failures_before = CrcFailures();
-  EXPECT_EQ(DecodeFrameHeader(encoded).status().code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(CrcFailures(), failures_before + 1);
 }
 
 TEST(FrameCodec, UntaggedV2FrameDecodesWithZeroRequestId) {

@@ -208,5 +208,38 @@ TEST_F(ManifestTest, TamperedRowCountIsInvalidArgument) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(ManifestTest, NumbersThatAreNotIntegersAreInvalidArgument) {
+  ASSERT_TRUE(
+      store::SaveDatasetSharded(SampleData(), dir_.string(), "d").ok());
+  const std::string path = (dir_ / "manifest.json").string();
+  const StatusOr<std::string> text = store::ReadFile(path);
+  ASSERT_TRUE(text.ok());
+  const std::string key = "\"dim\": ";
+  const size_t value = text->find(key) + key.size();
+  ASSERT_GT(value, key.size());
+  const size_t end = text->find(',', value);
+  // Not JSON numbers at all (nan, inf, 0x10), or numbers no integer field
+  // holds (1e300, -1, 4.5): each is rejected before any cast. `dim` has no
+  // cross-check that could catch a mangled value later.
+  for (const char* token : {"nan", "inf", "1e300", "-1", "4.5", "0x10"}) {
+    SCOPED_TRACE(token);
+    std::string tampered = text.value();
+    tampered.replace(value, end - value, token);
+    ASSERT_TRUE(store::WriteFileDurable(path, tampered).ok());
+    const auto manifest = store::ReadDatasetManifest(dir_.string());
+    ASSERT_FALSE(manifest.ok());
+    EXPECT_EQ(manifest.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(JsonNumberTest, WritesIntegersExactlyAndHugeNumbersWithoutCasting) {
+  EXPECT_EQ(store::JsonValue::Number(4294967295.0).ToString(),
+            "4294967295\n");
+  EXPECT_EQ(store::JsonValue::Number(-2.0).ToString(), "-2\n");
+  EXPECT_EQ(store::JsonValue::Number(0.5).ToString(), "0.5\n");
+  EXPECT_EQ(store::JsonValue::Number(1e300).ToString(),
+            "1.0000000000000001e+300\n");
+}
+
 }  // namespace
 }  // namespace enld

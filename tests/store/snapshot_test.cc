@@ -10,11 +10,13 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "common/telemetry/metrics.h"
 #include "data/workload.h"
 #include "store/io.h"
 #include "store/json.h"
@@ -46,6 +48,74 @@ void FlipByte(const fs::path& path, size_t offset_from_middle = 0) {
   f.seekp(pos);
   byte = static_cast<char>(byte ^ 0x10);
   f.write(&byte, 1);
+}
+
+/// state.bin bytes of small valid contents.
+std::string SmallState() {
+  store::SnapshotContents contents;
+  contents.seq = 4;
+  contents.framework.conditional = {{0.75, 0.25}, {0.5, 0.5}};
+  contents.framework.selected_clean = {1, 0, 1};
+  return store::EncodeSnapshotState(contents);
+}
+
+/// SmallState() with section `id`'s payload replaced and its CRC
+/// recomputed, so the payload reaches the section decoder.
+std::string StateWithSection(uint32_t id, const std::string& payload) {
+  const std::string state = SmallState();
+  const StatusOr<store::SectionWalk> walk = store::WalkSnapshotState(state);
+  EXPECT_TRUE(walk.ok());
+  const size_t header = walk->sections[0].payload.data() - state.data() - 16;
+  std::string out = state.substr(0, header);
+  for (const store::Section& section : walk->sections) {
+    store::PutSection(&out, section.id,
+                      section.id == id ? payload
+                                       : std::string(section.payload));
+  }
+  return out;
+}
+
+TEST(SnapshotStateTest, OnlyVersionThreeDecodes) {
+  const std::string state = SmallState();
+  store::SnapshotContents decoded;
+  ASSERT_TRUE(store::DecodeSnapshotState(state, &decoded).ok());
+  EXPECT_EQ(decoded.seq, 4u);
+  EXPECT_EQ(decoded.framework.selected_clean,
+            (std::vector<uint8_t>{1, 0, 1}));
+
+  // The retired versions: v2 (six sections) and v1 (five sections). The
+  // version is the u32 after the 8-byte magic and the byte-order tag.
+  std::string v2 = state;
+  v2[12] = 2;
+  std::string v1 = v2;
+  v1[12] = 1;
+  v1[16] = 5;
+  for (const std::string& old : {v2, v1}) {
+    EXPECT_EQ(store::DecodeSnapshotState(old, &decoded).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SnapshotStateTest, CountsBeyondTheBytesAreRejected) {
+  // Regressions: a P̃ class count of 2^31, whose square of doubles wrapped
+  // the size check to 0 and then asked for 2^62 doubles, and a selection
+  // count of 2^64 - 7, whose rounded-up byte count wrapped to 0. Both
+  // payloads carry valid CRCs and must be InvalidArgument, not a throw.
+  std::string classes;
+  store::PutU32(&classes, uint32_t{1} << 31);
+  std::string count;
+  store::PutU64(&count, ~uint64_t{0} - 6);
+  const std::pair<uint32_t, std::string> cases[] = {
+      {store::kSnapshotSectionConditional, classes},
+      {store::kSnapshotSectionSelected, count}};
+  for (const auto& [id, payload] : cases) {
+    SCOPED_TRACE(id);
+    store::SnapshotContents decoded;
+    EXPECT_EQ(
+        store::DecodeSnapshotState(StateWithSection(id, payload), &decoded)
+            .code(),
+        StatusCode::kInvalidArgument);
+  }
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -246,6 +316,24 @@ TEST_F(SnapshotTest, MissingStoreIsNotFound) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
   EXPECT_FALSE(platform.initialized());
+}
+
+TEST_F(SnapshotTest, LoadReadsEveryFileOnce) {
+  const Workload workload = BuildWorkload(testing_util::TinyWorkloadConfig(0.2));
+  DataPlatform source(FastPlatformConfig());
+  ASSERT_TRUE(source.Initialize(workload.inventory).ok());
+  ASSERT_TRUE(source.SaveSnapshot(root_.string()).ok());
+  uint64_t expected = fs::file_size(root_ / "CURRENT");
+  for (const auto& entry : fs::recursive_directory_iterator(
+           root_ / store::SnapshotStore::DirName(1))) {
+    if (entry.is_regular_file()) expected += entry.file_size();
+  }
+
+  telemetry::Counter* bytes_read =
+      telemetry::MetricsRegistry::Global().GetCounter("store/bytes_read");
+  const uint64_t before = bytes_read->Value();
+  ASSERT_TRUE(store::SnapshotStore(root_.string()).LoadLatest().ok());
+  EXPECT_EQ(bytes_read->Value() - before, expected);
 }
 
 TEST_F(SnapshotTest, EveryCorruptionClassIsTypedAndNonDestructive) {

@@ -13,10 +13,9 @@ and re-verifies, with nothing but the Python standard library:
   * each dataset directory's manifest.json is consistent (shard row
     totals, per-shard size + CRC32),
   * every shard starts with the ENLDSHD1 magic and little-endian tag,
-  * state.bin parses structurally: ENLDSNP1 magic, endian tag, version
-    (1, 2 or 3), and every section's payload CRC matches its envelope
-    (v1: meta/stats/rng/conditional/selected; v2 appends admission; v3
-    extends the admission payload with the deadline-exceeded counter).
+  * state.bin parses structurally: ENLDSNP1 magic, endian tag, version 3
+    (the only version the store reads), and every section's payload CRC
+    matches its envelope (meta/stats/rng/conditional/selected/admission).
 
 By default only the snapshot CURRENT points at is audited; --all checks
 every snap-* directory present. Violations are typed findings — one
@@ -41,12 +40,9 @@ AUDIT_SCHEMA = "enld-snapshot-audit-v1"
 SNAPSHOT_MAGIC = b"ENLDSNP1"
 SHARD_MAGIC = b"ENLDSHD1"
 ENDIAN_TAG = 0x01020304
-# meta, stats, rng, conditional, selected (+ admission in v2/v3)
-STATE_SECTION_IDS_BY_VERSION = {
-    1: (1, 2, 3, 4, 5),
-    2: (1, 2, 3, 4, 5, 6),
-    3: (1, 2, 3, 4, 5, 6),
-}
+STATE_VERSION = 3
+# meta, stats, rng, conditional, selected, admission
+STATE_SECTION_IDS = (1, 2, 3, 4, 5, 6)
 
 # Typed findings, mirroring the C++ scrubber's vocabulary
 # (src/store/scrub.h): section in {"file", "header", "section-<id>",
@@ -119,17 +115,16 @@ def check_state_bin(path, data):
         fail(path, f"byte-order tag {endian:#010x} != {ENDIAN_TAG:#010x}",
              section="header", reason="malformed")
         return
-    section_ids = STATE_SECTION_IDS_BY_VERSION.get(version)
-    if section_ids is None:
+    if version != STATE_VERSION:
         fail(path, f"unsupported state version {version}",
              section="header", reason="malformed")
         return
     (count,) = struct.unpack_from("<I", data, 16)
-    if count != len(section_ids):
-        fail(path, f"section count {count} != {len(section_ids)}",
+    if count != len(STATE_SECTION_IDS):
+        fail(path, f"section count {count} != {len(STATE_SECTION_IDS)}",
              section="header", reason="malformed")
         return
-    check_sections(path, data, 20, section_ids)
+    check_sections(path, data, 20, STATE_SECTION_IDS)
 
 
 def check_shard_header(path, data):
