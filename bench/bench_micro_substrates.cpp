@@ -1,8 +1,11 @@
 // Google-benchmark micro-benchmarks for the substrates the paper's
 // implementation notes call out: the KD-tree that accelerates repeated
 // k-nearest queries (Section IV-D reports O(k|A| log|H'|) vs the brute
-// O(c|A||H'|)), the dense kernels the network substrate runs on, and the
-// union-find behind Topofilter's connected components.
+// O(c|A||H'|)), the dense kernels the network substrate runs on, the
+// union-find behind Topofilter's connected components, and the store's
+// CRC-32.
+
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +20,7 @@
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
+#include "store/io.h"
 
 namespace enld {
 namespace {
@@ -293,6 +297,35 @@ void BM_ArgMaxRows(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * logits.size());
 }
 BENCHMARK(BM_ArgMaxRows)->Arg(125)->Arg(4000);
+
+// ---- CRC-32 rows (docs/BENCHMARKS.md, "CRC-32 kernel") ----
+// One 1 MiB buffer (about a snapshot's train shards) through the
+// slicing-by-8 tables (generic) and the dispatched backend (auto: the
+// carry-less-multiply fold where the CPU has PCLMULQDQ), in bytes/s. The
+// clmul counter is 1 when the row ran the fold: a backend other than
+// generic on a CPU with PCLMULQDQ and SSE4.1 (store/io.h).
+
+void BM_Crc32(benchmark::State& state, const char* backend) {
+  if (!SetKernelBackend(backend)) {
+    state.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
+  std::string buffer(1 << 20, '\0');
+  Rng rng(12);
+  for (char& byte : buffer) byte = static_cast<char>(rng.NextUInt64());
+  for (auto _ : state) benchmark::DoNotOptimize(store::Crc32(buffer));
+  state.SetBytesProcessed(state.iterations() * buffer.size());
+#ifdef ENLD_KERNEL_X86
+  state.counters["clmul"] = ActiveKernelIsa() != KernelIsa::kGeneric &&
+                            __builtin_cpu_supports("pclmul") &&
+                            __builtin_cpu_supports("sse4.1");
+#else
+  state.counters["clmul"] = 0;
+#endif
+  SetKernelBackend("auto");
+}
+BENCHMARK_CAPTURE(BM_Crc32, generic, "generic");
+BENCHMARK_CAPTURE(BM_Crc32, auto, "auto");
 
 void BM_MlpForward(benchmark::State& state) {
   Rng rng(9);

@@ -9,11 +9,13 @@ namespace enld {
 
 /// The one runtime switch behind every SIMD kernel family: the batched
 /// distance kernels (common/distance.h), the GEMM kernel under the matrix
-/// products (common/gemm.h) and the row kernels around them
-/// (common/row_kernels.h). Every backend of every family is bitwise
-/// identical to its scalar reference, so the switch changes speed only
-/// (docs/ARCHITECTURE.md §6). The distance kernels have no AVX-512 path:
-/// under kAvx512 they run their AVX2 one.
+/// products (common/gemm.h), the row kernels around them
+/// (common/row_kernels.h) and the store's CRC-32 (store/io.h). Every
+/// backend of every family is bitwise identical to its scalar reference,
+/// so the switch changes speed only (docs/ARCHITECTURE.md §6). The
+/// distance kernels have no AVX-512 path: under kAvx512 they run their
+/// AVX2 one. The CRC-32 runs one 128-bit carry-less-multiply fold under
+/// both kAvx2 and kAvx512, where the CPU has PCLMULQDQ.
 enum class KernelIsa { kGeneric, kAvx2, kAvx512 };
 
 /// Backend the kernels dispatch to. The first call detects it: the

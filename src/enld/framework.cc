@@ -217,10 +217,22 @@ Status EnldFramework::UpdateModel() {
   model_ = std::move(updated);
 
   // Swap I_t and I_c — the pointers, so a captured state keeps the sets it
-  // shares — then re-estimate P̃ on the new candidate set.
+  // shares — then re-estimate P̃ on the new candidate set. New weights and
+  // a swapped candidate set make everything cached stale. With the cache
+  // on, P̃'s forward pass over the new I_c is the candidate view the next
+  // request would compute: count the joint from its predictions (the same
+  // argmax of the same logits) and store it under the new version.
   std::swap(train_set_, candidate_set_);
   const std::vector<std::vector<double>> previous = conditional_;
-  const JointCounts joint = EstimateJointCounts(model_.get(), *candidate_set_);
+  feature_cache_.BumpModelVersion();
+  JointCounts joint;
+  if (feature_cache_enabled_) {
+    ModelView view = ComputeModelView(model_.get(), *candidate_set_);
+    joint = CountJoint(*candidate_set_, view.predicted);
+    feature_cache_.StoreView(feature_cache_.model_version(), std::move(view));
+  } else {
+    joint = EstimateJointCounts(model_.get(), *candidate_set_);
+  }
   conditional_ = ConditionalFromJoint(joint);
 
   // Per-class P̃ drift: L1 distance between the old and new conditional
@@ -239,8 +251,6 @@ Status EnldFramework::UpdateModel() {
   RecordConditionalDiagonal(conditional_, "update/ptilde_diag");
 
   selected_clean_.assign(candidate_set_->size(), false);
-  // New weights and a swapped candidate set: everything cached is stale.
-  feature_cache_.BumpModelVersion();
   return Status::OK();
 }
 

@@ -25,11 +25,16 @@ JointCounts AddJoint(JointCounts acc, JointCounts partial) {
 JointCounts EstimateJointCounts(MlpModel* model, const Dataset& holdout) {
   ENLD_CHECK(model != nullptr);
   ENLD_CHECK_EQ(holdout.num_classes, model->num_classes());
-  const int classes = model->num_classes();
+  if (holdout.empty()) return CountJoint(holdout, {});
+  return CountJoint(holdout, model->Predict(holdout.features));
+}
+
+JointCounts CountJoint(const Dataset& holdout,
+                       const std::vector<int>& predicted) {
+  ENLD_CHECK_EQ(predicted.size(), holdout.size());
+  const int classes = holdout.num_classes;
   JointCounts joint(classes, std::vector<double>(classes, 0.0));
   if (holdout.empty()) return joint;
-
-  const std::vector<int> predicted = model->Predict(holdout.features);
   return ParallelReduce(
       0, holdout.size(), kCountGrain, std::move(joint),
       [&](size_t lo, size_t hi) {

@@ -16,6 +16,11 @@ using JointCounts = std::vector<std::vector<double>>;
 /// estimate (the paper's Eq. 4). Samples with missing labels are skipped.
 JointCounts EstimateJointCounts(MlpModel* model, const Dataset& holdout);
 
+/// The same count from argmax predictions already made, `predicted[i]`
+/// for row i of `holdout`: EstimateJointCounts without its forward pass.
+JointCounts CountJoint(const Dataset& holdout,
+                       const std::vector<int>& predicted);
+
 /// Confident-joint variant used by the Confident Learning baseline: a
 /// sample (x, ỹ=i) is counted toward J[i][j] only if its probability of
 /// class j is at least the per-class threshold t_j = mean self-confidence

@@ -28,6 +28,11 @@ namespace store {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected), matching
 /// Python's zlib.crc32 so tools/check_snapshot.py can re-verify files.
+/// A kernel family under ENLD_KERNEL (common/kernel_backend.h): the
+/// generic backend is slicing-by-8 tables; avx2 and avx512 fold 16-byte
+/// blocks of an input of 64 bytes or more with carry-less multiplies when
+/// the CPU has PCLMULQDQ and SSE4.1, and run the tables otherwise. Every
+/// backend returns the same value.
 uint32_t Crc32(const void* data, size_t size);
 uint32_t Crc32(std::string_view data);
 
@@ -138,7 +143,8 @@ inline bool HoldsExactly(std::string_view bytes, uint64_t count,
 /// so store retries never perturb the model's random streams.
 RetryPolicy& DefaultIoRetryPolicy();
 
-/// Reads a whole file into memory, retrying transient failures under
+/// Reads a whole file into memory with one read into a buffer of its
+/// size, retrying transient failures under
 /// DefaultIoRetryPolicy. NotFound when the file cannot be opened, Internal
 /// on a read error that survives the retries. Counts store/bytes_read.
 /// Fault site: "store/read_file".

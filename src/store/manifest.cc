@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/parallel.h"
+#include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
 #include "store/io.h"
 #include "store/json.h"
@@ -56,6 +57,9 @@ Status SaveDatasetSharded(const Dataset& dataset, const std::string& dir,
       rows == 0 ? 1 : (rows + rows_per_shard - 1) / rows_per_shard;
   std::vector<ShardEntry> entries(num_shards);
   std::vector<Status> statuses(num_shards);
+  static telemetry::Counter* shards_written =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "store/shards_written");
 
   // Shards are independent row ranges: encode and write them in parallel.
   ParallelFor(0, num_shards, 1, [&](size_t begin, size_t end) {
@@ -68,6 +72,7 @@ Status SaveDatasetSharded(const Dataset& dataset, const std::string& dir,
       entries[s].bytes = encoded.size();
       entries[s].crc32 = Crc32(encoded);
       statuses[s] = WriteFileDurable(dir + "/" + entries[s].file, encoded);
+      if (statuses[s].ok()) shards_written->Increment();
     }
   });
   for (const Status& status : statuses) {
@@ -165,65 +170,73 @@ StatusOr<Dataset> LoadDatasetSharded(const std::string& dir) {
   StatusOr<DatasetManifest> manifest_or = ReadDatasetManifest(dir);
   if (!manifest_or.ok()) return manifest_or.status();
   const DatasetManifest& manifest = manifest_or.value();
+  static telemetry::Counter* shards_read =
+      telemetry::MetricsRegistry::Global().GetCounter("store/shards_read");
 
+  // Pass 1 reads and verifies every shard on the shared pool: its bytes
+  // against the manifest entry, its section CRCs, and its header geometry
+  // and column lengths against the manifest. Nothing is sized until every
+  // shard has passed, so the row total sized below is backed by bytes
+  // actually read.
   const size_t num_shards = manifest.shards.size();
-  std::vector<StatusOr<Dataset>> loaded(num_shards, Status::OK());
-
-  // Shard files are independent: read and decode them on the shared pool.
-  // Results are stitched in manifest order on the calling thread, so the
-  // output is identical at any thread count.
-  ParallelFor(0, num_shards, 1, [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      const ShardEntry& entry = manifest.shards[s];
-      StatusOr<std::string> data = ReadFile(dir + "/" + entry.file);
-      Status status = data.status();
-      if (status.ok()) {
-        status = VerifyListedBytes("shard " + entry.file, *data, entry.bytes,
-                                   entry.crc32);
-      }
-      loaded[s] = status.ok() ? DecodeDatasetShard(*data)
-                              : StatusOr<Dataset>(status);
+  std::vector<std::string> bytes(num_shards);
+  std::vector<ShardLayout> layouts(num_shards);
+  std::vector<Status> statuses(num_shards);
+  auto verify = [&](size_t s) -> Status {
+    const ShardEntry& entry = manifest.shards[s];
+    StatusOr<std::string> data = ReadFile(dir + "/" + entry.file);
+    if (!data.ok()) return data.status();
+    shards_read->Increment();
+    bytes[s] = std::move(data).value();
+    ENLD_RETURN_IF_ERROR(VerifyListedBytes("shard " + entry.file, bytes[s],
+                                           entry.bytes, entry.crc32));
+    StatusOr<ShardLayout> layout = WalkDatasetShard(bytes[s]);
+    if (!layout.ok()) return layout.status();
+    ENLD_RETURN_IF_ERROR(layout->walk.Verify());
+    if (layout->rows != entry.rows || layout->dim != manifest.dim ||
+        layout->num_classes != static_cast<uint32_t>(manifest.num_classes)) {
+      return Status::InvalidArgument("shard " + entry.file +
+                                     " geometry disagrees with the manifest");
     }
-  });
-
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!loaded[s].ok()) {
-      return Status(loaded[s].status().code(),
-                    loaded[s].status().message() + " [" + dir + "]");
-    }
-    const Dataset& shard = loaded[s].value();
-    if (shard.size() != manifest.shards[s].rows ||
-        shard.dim() != manifest.dim ||
-        shard.num_classes != manifest.num_classes) {
-      return Status::InvalidArgument(
-          "shard " + manifest.shards[s].file +
-          " geometry disagrees with the manifest");
-    }
-  }
-  // Every shard decoded and matches the manifest, so the row total sized
-  // below is backed by bytes actually read.
-  if (num_shards == 1) return std::move(loaded[0]).value();
+    ENLD_RETURN_IF_ERROR(CheckShardColumns(*layout));
+    layouts[s] = std::move(layout).value();
+    return Status::OK();
+  };
+  // Pass 2 decodes each shard straight into its row range of the one
+  // output. The ranges are disjoint, so the result is identical at any
+  // thread count.
   Dataset out;
-  out.num_classes = manifest.num_classes;
-  out.features.Reset(static_cast<size_t>(manifest.num_rows),
-                     static_cast<size_t>(manifest.dim));
-  out.observed_labels.reserve(manifest.num_rows);
-  out.true_labels.reserve(manifest.num_rows);
-  out.ids.reserve(manifest.num_rows);
-  size_t row = 0;
-  for (const StatusOr<Dataset>& loaded_shard : loaded) {
-    const Dataset& shard = loaded_shard.value();
-    if (shard.size() > 0) {
-      std::memcpy(out.features.Row(row), shard.features.data(),
-                  shard.features.size() * sizeof(float));
+  std::vector<size_t> first_row(num_shards, 0);
+  auto decode = [&](size_t s) {
+    return DecodeShardColumns(layouts[s], /*check_bitmap=*/true, &out,
+                              first_row[s]);
+  };
+  // Runs `pass` over every shard; the first failure in manifest order.
+  auto run_pass = [&](const auto& pass) -> Status {
+    ParallelFor(0, num_shards, 1, [&](size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) statuses[s] = pass(s);
+    });
+    for (const Status& status : statuses) {
+      if (!status.ok()) return status;
     }
-    out.observed_labels.insert(out.observed_labels.end(),
-                               shard.observed_labels.begin(),
-                               shard.observed_labels.end());
-    out.true_labels.insert(out.true_labels.end(), shard.true_labels.begin(),
-                           shard.true_labels.end());
-    out.ids.insert(out.ids.end(), shard.ids.begin(), shard.ids.end());
-    row += shard.size();
+    return Status::OK();
+  };
+
+  Status status = run_pass(verify);
+  if (status.ok()) {
+    for (size_t s = 1; s < num_shards; ++s) {
+      first_row[s] = first_row[s - 1] + manifest.shards[s - 1].rows;
+    }
+    out = SizedDataset(static_cast<size_t>(manifest.num_rows),
+                       static_cast<size_t>(manifest.dim),
+                       manifest.num_classes);
+    status = run_pass(decode);
+  }
+  // ValidateDataset's checks are per row, so one call over the whole
+  // dataset equals one per shard; its row numbers are the dataset's.
+  if (status.ok()) status = ValidateDataset(out);
+  if (!status.ok()) {
+    return Status(status.code(), status.message() + " [" + dir + "]");
   }
   return out;
 }

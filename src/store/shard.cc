@@ -47,38 +47,6 @@ void GetColumn(std::string_view bytes, T* values, size_t count, Read read) {
   }
 }
 
-/// Decodes the features, labels and ids from the first four sections of a
-/// walked shard, after checking each length against the header geometry.
-StatusOr<Dataset> DecodeColumns(const ShardLayout& layout) {
-  const std::vector<Section>& sections = layout.walk.sections;
-  const uint64_t rows = layout.rows;
-  const uint64_t dim = layout.dim;
-  const std::string_view features = sections[0].payload;
-  if (!(dim == 0 ? features.empty()
-                 : HoldsExactly(features, rows, dim * sizeof(float))) ||
-      !HoldsExactly(sections[1].payload, rows, sizeof(int32_t)) ||
-      !HoldsExactly(sections[2].payload, rows, sizeof(int32_t)) ||
-      !HoldsExactly(sections[3].payload, rows, sizeof(uint64_t))) {
-    return Status::InvalidArgument(
-        "shard column lengths disagree with the header geometry");
-  }
-  Dataset out;
-  out.num_classes = static_cast<int>(layout.num_classes);
-  out.features.Reset(rows, dim);
-  GetColumn(features, out.features.data(), rows * dim,
-            &BinaryReader::ReadF32);
-  out.observed_labels.resize(rows);
-  GetColumn(sections[1].payload, out.observed_labels.data(), rows,
-            &BinaryReader::ReadI32);
-  out.true_labels.resize(rows);
-  GetColumn(sections[2].payload, out.true_labels.data(), rows,
-            &BinaryReader::ReadI32);
-  out.ids.resize(rows);
-  GetColumn(sections[3].payload, out.ids.data(), rows,
-            &BinaryReader::ReadU64);
-  return out;
-}
-
 }  // namespace
 
 std::string EncodeDatasetShard(const Dataset& dataset) {
@@ -170,29 +138,85 @@ StatusOr<ShardLayout> WalkDatasetShard(std::string_view data,
   return layout;
 }
 
-StatusOr<Dataset> DecodeDatasetShard(std::string_view data) {
-  StatusOr<ShardLayout> layout = WalkDatasetShard(data);
-  if (!layout.ok()) return layout.status();
-  ENLD_RETURN_IF_ERROR(layout->walk.Verify());
-  StatusOr<Dataset> out = DecodeColumns(*layout);
-  if (!out.ok()) return out;
+Status CheckShardColumns(const ShardLayout& layout) {
+  const std::vector<Section>& sections = layout.walk.sections;
+  const uint64_t rows = layout.rows;
+  const uint64_t dim = layout.dim;
+  const std::string_view features = sections[0].payload;
+  if (!(dim == 0 ? features.empty()
+                 : HoldsExactly(features, rows, dim * sizeof(float))) ||
+      !HoldsExactly(sections[1].payload, rows, sizeof(int32_t)) ||
+      !HoldsExactly(sections[2].payload, rows, sizeof(int32_t)) ||
+      !HoldsExactly(sections[3].payload, rows, sizeof(uint64_t))) {
+    return Status::InvalidArgument(
+        "shard column lengths disagree with the header geometry");
+  }
+  return Status::OK();
+}
 
-  const uint64_t rows = layout->rows;
-  const std::string_view bitmap = layout->walk.sections[4].payload;
+Dataset SizedDataset(size_t rows, size_t dim, int num_classes) {
+  Dataset out;
+  out.num_classes = num_classes;
+  out.features.Reset(rows, dim);
+  out.observed_labels.resize(rows);
+  out.true_labels.resize(rows);
+  out.ids.resize(rows);
+  return out;
+}
+
+Status DecodeShardColumns(const ShardLayout& layout, bool check_bitmap,
+                          Dataset* out, size_t row) {
+  const std::vector<Section>& sections = layout.walk.sections;
+  const size_t rows = layout.rows;
+  const size_t dim = layout.dim;
+  ENLD_CHECK(out->dim() == dim || rows == 0);
+  ENLD_CHECK(row + rows <= out->size());
+  GetColumn(sections[0].payload, out->features.data() + row * dim,
+            rows * dim, &BinaryReader::ReadF32);
+  int* observed = out->observed_labels.data() + row;
+  GetColumn(sections[1].payload, observed, rows, &BinaryReader::ReadI32);
+  GetColumn(sections[2].payload, out->true_labels.data() + row, rows,
+            &BinaryReader::ReadI32);
+  GetColumn(sections[3].payload, out->ids.data() + row, rows,
+            &BinaryReader::ReadU64);
+  if (!check_bitmap) return Status::OK();
+
+  const std::string_view bitmap = sections[4].payload;
   if (bitmap.size() != rows / 8 + (rows % 8 != 0)) {
     return Status::InvalidArgument("missing-bitmap section length mismatch");
   }
   for (size_t i = 0; i < rows; ++i) {
     const bool bit =
         (static_cast<unsigned char>(bitmap[i / 8]) >> (i % 8)) & 1u;
-    if (bit != (out->observed_labels[i] == kMissingLabel)) {
+    if (bit != (observed[i] == kMissingLabel)) {
       return Status::InvalidArgument(
           "missing-label bitmap disagrees with observed column at row " +
           std::to_string(i));
     }
   }
-  ENLD_RETURN_IF_ERROR(ValidateDataset(*out));
+  return Status::OK();
+}
+
+namespace {
+
+/// A walked shard's columns as a dataset of their own.
+StatusOr<Dataset> DecodeWalkedShard(const ShardLayout& layout,
+                                    bool check_bitmap) {
+  ENLD_RETURN_IF_ERROR(CheckShardColumns(layout));
+  Dataset out = SizedDataset(layout.rows, layout.dim,
+                             static_cast<int>(layout.num_classes));
+  ENLD_RETURN_IF_ERROR(DecodeShardColumns(layout, check_bitmap, &out, 0));
+  ENLD_RETURN_IF_ERROR(ValidateDataset(out));
   return out;
+}
+
+}  // namespace
+
+StatusOr<Dataset> DecodeDatasetShard(std::string_view data) {
+  StatusOr<ShardLayout> layout = WalkDatasetShard(data);
+  if (!layout.ok()) return layout.status();
+  ENLD_RETURN_IF_ERROR(layout->walk.Verify());
+  return DecodeWalkedShard(*layout, /*check_bitmap=*/true);
 }
 
 StatusOr<Dataset> SalvageDatasetShard(std::string_view data) {
@@ -205,10 +229,7 @@ StatusOr<Dataset> SalvageDatasetShard(std::string_view data) {
                                      " does not survive its CRC");
     }
   }
-  StatusOr<Dataset> out = DecodeColumns(*layout);
-  if (!out.ok()) return out;
-  ENLD_RETURN_IF_ERROR(ValidateDataset(*out));
-  return out;
+  return DecodeWalkedShard(*layout, /*check_bitmap=*/false);
 }
 
 Status SaveDatasetShard(const Dataset& dataset, const std::string& path) {
@@ -217,8 +238,9 @@ Status SaveDatasetShard(const Dataset& dataset, const std::string& path) {
   static telemetry::Counter* shards =
       telemetry::MetricsRegistry::Global().GetCounter(
           "store/shards_written");
+  ENLD_RETURN_IF_ERROR(WriteFileDurable(path, EncodeDatasetShard(dataset)));
   shards->Increment();
-  return WriteFileDurable(path, EncodeDatasetShard(dataset));
+  return Status::OK();
 }
 
 StatusOr<Dataset> LoadDatasetShard(const std::string& path) {

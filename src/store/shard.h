@@ -67,6 +67,27 @@ struct ShardLayout {
 StatusOr<ShardLayout> WalkDatasetShard(std::string_view data,
                                        FormatFault* fault = nullptr);
 
+/// Checks a walked shard's four column sections (features, observed and
+/// true labels, ids) against its header geometry: InvalidArgument on any
+/// disagreement. Passing it makes the header's rows and dim safe to size
+/// a destination from.
+Status CheckShardColumns(const ShardLayout& layout);
+
+/// A dataset of `rows` x `dim` whose columns are sized (zeroed) for
+/// DecodeShardColumns.
+Dataset SizedDataset(size_t rows, size_t dim, int num_classes);
+
+/// The one column decoder. Copies the columns of a shard that passed
+/// CheckShardColumns into rows [row, row + layout.rows) of `out`, whose
+/// columns must already hold them with the shard's dim; with
+/// `check_bitmap` it then cross-checks the missing-label bitmap against
+/// the observed labels it copied (InvalidArgument naming the shard row on
+/// a disagreement). Writes only that row range, so disjoint shards decode
+/// into one dataset concurrently. Leaves enld::ValidateDataset to the
+/// caller, once over the whole destination.
+Status DecodeShardColumns(const ShardLayout& layout, bool check_bitmap,
+                          Dataset* out, size_t row);
+
 /// Parses a shard buffer back into a Dataset, verifying every section CRC
 /// and the column invariants. The inverse of EncodeDatasetShard:
 /// DecodeDatasetShard(EncodeDatasetShard(d)) == d, byte-exact.

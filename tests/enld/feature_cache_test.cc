@@ -156,6 +156,30 @@ TEST_F(FeatureCacheTest, TrainerUpdatesInvalidate) {
   EXPECT_GT(enld.feature_cache().model_version(), before_manual);
 }
 
+TEST_F(FeatureCacheTest, UpdateSeedsTheNextVersionsView) {
+  EnldConfig uncached_config = FastEnldConfig();
+  uncached_config.use_feature_cache = false;
+  EnldFramework cached(FastEnldConfig());
+  EnldFramework uncached(uncached_config);
+  cached.Setup(workload_->inventory);
+  uncached.Setup(workload_->inventory);
+  for (EnldFramework* enld : {&cached, &uncached}) {
+    (void)enld->Detect(workload_->incremental[0]);
+    ASSERT_TRUE(enld->UpdateModel().ok());
+  }
+  EXPECT_EQ(cached.conditional(), uncached.conditional());
+
+  // UpdateModel's P̃ pass stored the new version's candidate view, so the
+  // next request reuses it instead of forwarding I_c again.
+  const FeatureCache::Stats before = cached.feature_cache().stats();
+  const DetectionResult c = cached.Detect(workload_->incremental[1]);
+  const DetectionResult u = uncached.Detect(workload_->incremental[1]);
+  const FeatureCache::Stats& after = cached.feature_cache().stats();
+  EXPECT_EQ(after.view_hits, before.view_hits + 1);
+  EXPECT_EQ(after.view_misses, before.view_misses);
+  ExpectSameResult(c, u);
+}
+
 TEST(FeatureCacheEnvTest, EnvVarDisablesCache) {
   ASSERT_EQ(setenv("ENLD_FEATURE_CACHE", "0", 1), 0);
   EnldFramework disabled(FastEnldConfig());

@@ -208,6 +208,37 @@ TEST_F(ManifestTest, TamperedRowCountIsInvalidArgument) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(ManifestTest, ShardHeaderDisagreeingWithItsEntryIsInvalidArgument) {
+  ASSERT_TRUE(
+      store::SaveDatasetSharded(SampleData(), dir_.string(), "d", 32).ok());
+  // Raise one entry's rows and num_rows together, so the manifest parses
+  // and its total agrees, while the shard file, its size and its CRC stay
+  // valid. Only the header-versus-entry check can catch it, and it must
+  // do so before anything is sized: the edited total would need ~26 TB.
+  const auto bytes = store::ReadFile((dir_ / "manifest.json").string());
+  ASSERT_TRUE(bytes.ok());
+  auto doc = store::JsonValue::Parse(bytes.value());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const double extra = static_cast<double>(uint64_t{1} << 40);
+  ASSERT_NE(doc->Find("shards"), nullptr);
+  store::JsonValue shards = *doc->Find("shards");
+  store::JsonValue& entry = shards.items()[1];
+  entry.Set("rows",
+            store::JsonValue::Number(entry.Find("rows")->AsNumber() + extra));
+  doc->Set("shards", std::move(shards));
+  doc->Set("num_rows",
+           store::JsonValue::Number(doc->Find("num_rows")->AsNumber() + extra));
+  std::ofstream(dir_ / "manifest.json") << doc->ToString();
+  ASSERT_TRUE(store::ReadDatasetManifest(dir_.string()).ok());
+
+  const auto loaded = store::LoadDatasetSharded(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("shard-00001.bin"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST_F(ManifestTest, NumbersThatAreNotIntegersAreInvalidArgument) {
   ASSERT_TRUE(
       store::SaveDatasetSharded(SampleData(), dir_.string(), "d").ok());

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/kernel_backend.h"
 #include "common/rng.h"
 #include "data/serialization.h"
 #include "store/io.h"
@@ -66,37 +67,76 @@ void ExpectDatasetsBitIdentical(const Dataset& a, const Dataset& b) {
   }
 }
 
-/// Bit-at-a-time reflected CRC-32: the reference the table-driven Crc32
-/// must match on every length and alignment.
+/// One byte through the bit-at-a-time reflected CRC-32 register: the
+/// reference every Crc32 backend must match on every length and alignment.
+uint32_t BitwiseCrc32Step(uint32_t crc, unsigned char byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc;
+}
+
 uint32_t BitwiseCrc32(const unsigned char* bytes, size_t size) {
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc ^= bytes[i];
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
-  }
+  for (size_t i = 0; i < size; ++i) crc = BitwiseCrc32Step(crc, bytes[i]);
   return crc ^ 0xFFFFFFFFu;
 }
 
-TEST(StoreIoTest, Crc32MatchesZlib) {
-  // zlib.crc32(b"123456789") — the standard CRC-32 check value, so
-  // tools/check_snapshot.py computes identical checksums.
-  EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
-  EXPECT_EQ(Crc32(std::string()), 0u);
+/// The first (offset, length) on which Crc32 differs from the bitwise
+/// reference over `buffer`, or "" when none does. Every length up to
+/// `max_length` at every start offset 0..15 crosses the 64-byte four-lane
+/// fold, the 16-byte folds and the table tail at every alignment.
+std::string FirstCrc32Mismatch(const std::vector<unsigned char>& buffer,
+                               size_t max_length) {
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const unsigned char* start = buffer.data() + offset;
+    uint32_t running = 0xFFFFFFFFu;  // the reference, one byte longer
+    for (size_t length = 0; length <= max_length; ++length) {
+      if (length > 0) running = BitwiseCrc32Step(running, start[length - 1]);
+      if (Crc32(start, length) != (running ^ 0xFFFFFFFFu)) {
+        return "offset " + std::to_string(offset) + " length " +
+               std::to_string(length);
+      }
+    }
+  }
+  return "";
+}
 
-  // Every length 0..70 at every start offset 0..7: covers the 8-byte
-  // blocks, the byte tail and unaligned starts.
-  unsigned char buffer[80];
-  for (size_t i = 0; i < sizeof(buffer); ++i) {
+TEST(StoreIoTest, Crc32MatchesZlib) {
+  std::vector<unsigned char> buffer(1100 + 16);
+  for (size_t i = 0; i < buffer.size(); ++i) {
     buffer[i] = static_cast<unsigned char>(i * 167u + 13u);
   }
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t length = 0; length <= 70; ++length) {
-      EXPECT_EQ(Crc32(buffer + offset, length),
-                BitwiseCrc32(buffer + offset, length))
-          << "offset " << offset << " length " << length;
-    }
+  std::vector<unsigned char> large(3 << 20);  // the 64-byte loop at length
+  Rng rng(42);
+  for (unsigned char& byte : large) {
+    byte = static_cast<unsigned char>(rng.NextUInt64());
+  }
+  const uint32_t large_crc = BitwiseCrc32(large.data(), large.size());
+
+  // Every CRC-32 backend this CPU has: the slicing-by-8 tables (generic)
+  // and the carry-less-multiply fold (avx2, avx512).
+  for (const char* backend : {"generic", "avx2", "avx512"}) {
+    if (!SetKernelBackend(backend)) continue;
+    SCOPED_TRACE(backend);
+    // zlib.crc32(b"123456789") — the standard CRC-32 check value, so
+    // tools/check_snapshot.py computes identical checksums.
+    EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
+    EXPECT_EQ(Crc32(std::string()), 0u);
+    EXPECT_EQ(FirstCrc32Mismatch(buffer, 1100), "");
+    EXPECT_EQ(Crc32(large.data(), large.size()), large_crc);
+  }
+  SetKernelBackend("auto");
+#ifdef ENLD_KERNEL_X86
+  const bool clmul = __builtin_cpu_supports("pclmul") &&
+                     __builtin_cpu_supports("sse4.1");
+#else
+  const bool clmul = false;
+#endif
+  if (!clmul) {
+    GTEST_SKIP() << "this CPU has no PCLMULQDQ and SSE4.1: every backend "
+                    "ran the slicing-by-8 tables, the fold went untested";
   }
 }
 

@@ -336,6 +336,32 @@ TEST_F(SnapshotTest, LoadReadsEveryFileOnce) {
   EXPECT_EQ(bytes_read->Value() - before, expected);
 }
 
+TEST_F(SnapshotTest, ShardCountersCountEveryShardFile) {
+  const Workload workload = BuildWorkload(testing_util::TinyWorkloadConfig(0.2));
+  DataPlatform source(FastPlatformConfig());
+  ASSERT_TRUE(source.Initialize(workload.inventory).ok());
+  auto& registry = telemetry::MetricsRegistry::Global();
+  telemetry::Counter* written = registry.GetCounter("store/shards_written");
+  telemetry::Counter* read = registry.GetCounter("store/shards_read");
+  const uint64_t written_before = written->Value();
+  ASSERT_TRUE(source.SaveSnapshot(root_.string()).ok());
+  const uint64_t written_delta = written->Value() - written_before;
+  const uint64_t read_before = read->Value();
+  ASSERT_TRUE(store::SnapshotStore(root_.string()).LoadLatest().ok());
+
+  uint64_t shard_files = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(
+           root_ / store::SnapshotStore::DirName(1))) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name.rfind("shard-", 0) == 0) {
+      ++shard_files;
+    }
+  }
+  ASSERT_GE(shard_files, 2u);  // I_t and I_c have a shard each at least
+  EXPECT_EQ(written_delta, shard_files);
+  EXPECT_EQ(read->Value() - read_before, shard_files);
+}
+
 TEST_F(SnapshotTest, EveryCorruptionClassIsTypedAndNonDestructive) {
   const Workload workload = BuildWorkload(testing_util::TinyWorkloadConfig(0.2));
   DataPlatform source(FastPlatformConfig());
