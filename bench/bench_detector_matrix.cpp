@@ -3,7 +3,7 @@
 // recall / F1) and the setup / process wall-clock split, plus the
 // per-phase span breakdown from the telemetry span tree. The JSON report
 // ("enld-detector-matrix-v1") is deterministic apart from timings and is
-// validated in CI by tools/check_detector_matrix.py.
+// validated by tools/check_report.py matrix (the drill.detectors ctest).
 //
 // Scope the sweep with ENLD_BENCH_TASKS / ENLD_BENCH_NOISES /
 // ENLD_BENCH_DATASETS (bench_util.h) and --detectors=key1,key2 (default:

@@ -1,6 +1,8 @@
 #ifndef ENLD_BENCH_BENCH_UTIL_H_
 #define ENLD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -18,24 +20,47 @@
 namespace enld {
 namespace bench {
 
+/// Prints the bad value of a bench environment variable and the form it
+/// accepts, then exits 2: a scoped run must not silently run another
+/// sweep than the one asked for.
+[[noreturn]] inline void RejectBenchEnv(const char* name,
+                                        const std::string& value,
+                                        const char* accepted) {
+  std::fprintf(stderr, "%s=\"%s\" is not valid: expected %s\n", name,
+               value.c_str(), accepted);
+  std::exit(2);
+}
+
+/// Splits a comma-separated environment value; an empty token is kept,
+/// so the callers reject it.
+inline std::vector<std::string> SplitBenchEnv(const std::string& value) {
+  std::vector<std::string> tokens;
+  size_t start = 0;
+  while (true) {
+    const size_t comma = value.find(',', start);
+    tokens.push_back(value.substr(start, comma - start));
+    if (comma == std::string::npos) return tokens;
+    start = comma + 1;
+  }
+}
+
 /// The paper's four noise settings (Section V-A2). The
 /// ENLD_BENCH_NOISES environment variable (comma-separated rates, e.g.
 /// "0.2" or "0.1,0.3") overrides them for quick or CI runs.
 inline std::vector<double> NoiseRates() {
   const char* env = std::getenv("ENLD_BENCH_NOISES");
-  if (env != nullptr && *env != '\0') {
-    std::vector<double> rates;
-    const char* cursor = env;
-    while (*cursor != '\0') {
-      char* next = nullptr;
-      const double rate = std::strtod(cursor, &next);
-      if (next == cursor) break;
-      if (rate > 0.0 && rate < 1.0) rates.push_back(rate);
-      cursor = *next == ',' ? next + 1 : next;
+  if (env == nullptr || *env == '\0') return {0.1, 0.2, 0.3, 0.4};
+  std::vector<double> rates;
+  for (const std::string& token : SplitBenchEnv(env)) {
+    char* end = nullptr;
+    const double rate = std::strtod(token.c_str(), &end);
+    if (token.empty() || *end != '\0' || !(rate > 0.0 && rate < 1.0)) {
+      RejectBenchEnv("ENLD_BENCH_NOISES", env,
+                     "comma-separated rates in (0, 1), e.g. 0.1,0.3");
     }
-    if (!rates.empty()) return rates;
+    rates.push_back(rate);
   }
-  return {0.1, 0.2, 0.3, 0.4};
+  return rates;
 }
 
 /// The paper's three tasks. ENLD_BENCH_TASKS (comma-separated subset of
@@ -46,37 +71,36 @@ inline std::vector<PaperDataset> PaperTasks() {
       {"cifar100", PaperDataset::kCifar100},
       {"tiny", PaperDataset::kTinyImagenet}};
   const char* env = std::getenv("ENLD_BENCH_TASKS");
-  if (env != nullptr && *env != '\0') {
-    std::vector<PaperDataset> tasks;
-    std::string spec(env);
-    size_t start = 0;
-    while (start <= spec.size()) {
-      const size_t comma = spec.find(',', start);
-      const std::string name =
-          spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      for (const auto& [known_name, task] : known) {
-        if (name == known_name) tasks.push_back(task);
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (!tasks.empty()) return tasks;
+  if (env == nullptr || *env == '\0') {
+    return {PaperDataset::kEmnist, PaperDataset::kCifar100,
+            PaperDataset::kTinyImagenet};
   }
-  return {PaperDataset::kEmnist, PaperDataset::kCifar100,
-          PaperDataset::kTinyImagenet};
+  std::vector<PaperDataset> tasks;
+  for (const std::string& name : SplitBenchEnv(env)) {
+    const auto match =
+        std::find_if(known.begin(), known.end(),
+                     [&](const auto& entry) { return entry.first == name; });
+    if (match == known.end()) {
+      RejectBenchEnv("ENLD_BENCH_TASKS", env,
+                     "a comma-separated subset of emnist,cifar100,tiny");
+    }
+    tasks.push_back(match->second);
+  }
+  return tasks;
 }
 
 /// Number of incremental datasets to process. Defaults to the paper's
 /// stream length for the profile; the ENLD_BENCH_DATASETS environment
-/// variable overrides it (useful for quick runs).
+/// variable (a positive integer) overrides it (useful for quick runs).
 inline size_t DatasetBudget(size_t paper_count) {
   const char* env = std::getenv("ENLD_BENCH_DATASETS");
-  if (env != nullptr) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<size_t>(parsed);
+  if (env == nullptr || *env == '\0') return paper_count;
+  char* end = nullptr;
+  const long parsed = std::strtol(env, &end, 10);
+  if (*end != '\0' || parsed <= 0) {
+    RejectBenchEnv("ENLD_BENCH_DATASETS", env, "a positive integer");
   }
-  return paper_count;
+  return static_cast<size_t>(parsed);
 }
 
 /// Builds the workload for a paper dataset at a noise rate, honouring the

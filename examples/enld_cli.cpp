@@ -808,7 +808,7 @@ int RunStats(int argc, char** argv) {
     }
     if (watch_seconds <= 0.0) {
       // One-shot: the raw document, ready for redirection into a file and
-      // validation with tools/check_stats.py.
+      // validation with tools/check_report.py stats.
       std::printf("%s\n", stats.value().c_str());
       break;
     }

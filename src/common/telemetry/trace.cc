@@ -94,13 +94,6 @@ void TraceTree::Reset() {
   root_->name = "run";
 }
 
-void TraceTree::AddFlat(const std::string& name, double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Node* node = root_->FindOrCreateChild(name);
-  node->count += 1;
-  node->total_seconds += seconds;
-}
-
 std::vector<std::pair<std::string, double>> TraceTree::FlattenByName() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, double>> out;

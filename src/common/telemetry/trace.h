@@ -57,16 +57,10 @@ class TraceTree {
   /// Drops every node. Must not be called while spans are active.
   void Reset();
 
-  /// Flat accumulation into a root-level span named `name` (count +1,
-  /// total += seconds). Backs the PhaseTimings compatibility shim:
-  /// find-or-create under the lock, so concurrent first use of one name
-  /// cannot create duplicate entries.
-  void AddFlat(const std::string& name, double seconds);
-
   /// Pre-order walk summing total_seconds by span *name* (not path), in
-  /// first-seen order. This reproduces the flat PhaseTimings view: a span
-  /// named "detect/sampling" contributes the same key whether it sits under
-  /// "detect" or under "detect/iteration".
+  /// first-seen order (the flat view in MethodRunResult::phase_seconds): a
+  /// span named "detect/sampling" contributes the same key whether it sits
+  /// under "detect" or under "detect/iteration".
   std::vector<std::pair<std::string, double>> FlattenByName() const;
 
  private:

@@ -127,8 +127,6 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
   }
   const Dataset& train = *state.train_set;
   const Dataset& candidate = *state.candidate_set;
-  ENLD_RETURN_IF_ERROR(ValidateDataset(train));
-  ENLD_RETURN_IF_ERROR(ValidateDataset(candidate));
   if (train.num_classes != candidate.num_classes) {
     return Status::InvalidArgument(
         "train and candidate sets disagree on num_classes");

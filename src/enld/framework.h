@@ -114,8 +114,11 @@ class EnldFramework : public NoisyLabelDetector {
   /// Replaces the framework's state with a previously captured one,
   /// skipping Setup entirely. Validates the state first and fails with
   /// InvalidArgument — leaving the framework untouched — on any
-  /// inconsistency (a null dataset, mismatched column lengths, weight
-  /// counts, a non-square P̃, a degenerate RNG state).
+  /// inconsistency (a null dataset, sets that disagree on classes or dim,
+  /// weight counts, a non-square P̃, a degenerate RNG state). The rows of
+  /// I_t and I_c arrive validated and are not re-checked: CaptureState
+  /// shares sets that Setup or UpdateModel built, and the store's
+  /// LoadDatasetSharded runs ValidateDataset over every restored row.
   Status RestoreState(EnldFrameworkState state);
 
  private:

@@ -1,7 +1,6 @@
 #include "eval/experiment.h"
 
 #include "common/check.h"
-#include "common/phase_timing.h"
 #include "common/stopwatch.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
@@ -58,7 +57,7 @@ MethodRunResult RunDetector(NoisyLabelDetector* detector,
       if (keep_raw) out.raw_results.push_back(std::move(result));
     }
   }
-  out.phase_seconds = PhaseTimings::Global().Snapshot();
+  out.phase_seconds = telemetry::TraceTree::Global().FlattenByName();
 
   out.telemetry = telemetry::CaptureRunReport();
   out.telemetry.method = out.method;

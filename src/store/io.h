@@ -27,7 +27,7 @@ namespace store {
 /// the counts are independent of ENLD_THREADS.
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected), matching
-/// Python's zlib.crc32 so tools/check_snapshot.py can re-verify files.
+/// Python's zlib.crc32 so tools/check_report.py snapshot can re-verify files.
 /// A kernel family under ENLD_KERNEL (common/kernel_backend.h): the
 /// generic backend is slicing-by-8 tables; avx2 and avx512 fold 16-byte
 /// blocks of an input of 64 bytes or more with carry-less multiplies when

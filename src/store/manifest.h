@@ -15,7 +15,7 @@ namespace store {
 /// or more shard files. The manifest records the dataset geometry and, per
 /// shard, the file name, row count, byte size and whole-file CRC32 — so
 /// truncation or tampering is caught from the manifest before any shard is
-/// parsed, and tools/check_snapshot.py can audit a store offline.
+/// parsed, and tools/check_report.py snapshot can audit a store offline.
 
 /// One shard as listed in a dataset manifest.
 struct ShardEntry {

@@ -13,7 +13,7 @@ namespace store {
 
 /// Writes a quarantine log as a durable JSON file (schema
 /// "enld-quarantine-v1") for offline inspection, the
-/// tools/check_quarantine.py audit, and `enld_cli replay`:
+/// tools/check_report.py quarantine audit, and `enld_cli replay`:
 ///
 ///   {"schema": "enld-quarantine-v1",
 ///    "total": <all-time quarantined count>,

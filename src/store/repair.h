@@ -91,7 +91,7 @@ StatusOr<RepairReport> RepairSnapshotStore(const std::string& root,
                                            const RepairOptions& options = {});
 
 /// Writes the report as durable JSON, schema "enld-repair-v1" (validated
-/// offline by tools/check_scrub_report.py).
+/// offline by tools/check_report.py repair).
 Status WriteRepairReportJson(const RepairReport& report,
                              const std::string& path);
 

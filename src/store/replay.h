@@ -73,7 +73,7 @@ StatusOr<ReplayReport> ReplayQuarantine(const QuarantineFile& log,
                                         uint64_t request_id);
 
 /// Writes the report as durable JSON, schema "enld-replay-v1" (validated
-/// offline by tools/check_scrub_report.py).
+/// offline by tools/check_report.py replay).
 Status WriteReplayReportJson(const ReplayReport& report,
                              const std::string& path);
 

@@ -67,7 +67,7 @@ struct ScrubReport {
 StatusOr<ScrubReport> ScrubSnapshotStore(const std::string& root);
 
 /// Writes the report as durable JSON, schema "enld-scrub-v1" (validated
-/// offline by tools/check_scrub_report.py).
+/// offline by tools/check_report.py scrub).
 Status WriteScrubReportJson(const ScrubReport& report,
                             const std::string& path);
 

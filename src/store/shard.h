@@ -33,7 +33,7 @@ namespace store {
 /// version, truncation, CRC mismatch, out-of-range labels, inconsistent
 /// columns. CRC mismatches additionally increment "store/crc_failures".
 
-/// Section ids, also used by tools/check_snapshot.py.
+/// Section ids, also used by tools/check_report.py snapshot.
 inline constexpr uint32_t kShardSectionFeatures = 1;
 inline constexpr uint32_t kShardSectionObserved = 2;
 inline constexpr uint32_t kShardSectionTrue = 3;

@@ -39,7 +39,7 @@ namespace store {
 /// sections). Config mismatches surface as FailedPrecondition from
 /// DataPlatform::RestoreFromSnapshot.
 
-/// Section ids inside state.bin (mirrored by tools/check_snapshot.py).
+/// Section ids inside state.bin (mirrored by tools/check_report.py snapshot).
 /// state.bin is at version 3, the only version this build reads or
 /// writes: six sections, the admission section ending with the
 /// deadline-exceeded counter.

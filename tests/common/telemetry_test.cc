@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
-#include "common/phase_timing.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/report.h"
 #include "common/telemetry/trace.h"
@@ -259,7 +258,7 @@ TEST_F(TelemetryTest, SpanOnThreadWithoutParentAttachesToRoot) {
 }
 
 // ---------------------------------------------------------------------------
-// PhaseTimings compatibility shim.
+// Flat by-name view (MethodRunResult::phase_seconds).
 
 TEST_F(TelemetryTest, PhaseTimingsFlattensByNameAcrossPaths) {
   {
@@ -272,49 +271,16 @@ TEST_F(TelemetryTest, PhaseTimingsFlattensByNameAcrossPaths) {
       ENLD_TRACE_SPAN("shared");
     }
   }
-  PhaseTimings::Global().Add("flat_phase", 0.25);
-  const auto snapshot = PhaseTimings::Global().Snapshot();
-  size_t shared_entries = 0;
-  bool saw_flat = false;
-  for (const auto& [name, seconds] : snapshot) {
-    if (name == "shared") ++shared_entries;
-    if (name == "flat_phase") {
-      saw_flat = true;
-      EXPECT_DOUBLE_EQ(seconds, 0.25);
-    }
+  const auto flat = TraceTree::Global().FlattenByName();
+  std::vector<std::string> names;
+  for (const auto& [name, seconds] : flat) {
+    names.push_back(name);
+    EXPECT_GE(seconds, 0.0) << name;
   }
-  // One entry per *name*, even though "shared" occurs at two tree paths.
-  EXPECT_EQ(shared_entries, 1u);
-  EXPECT_TRUE(saw_flat);
-}
-
-// Regression test: concurrent first use of one phase name used to create
-// duplicate entries in the flat registry. The tree shim find-or-creates
-// under the lock, so exactly one entry must survive with the full sum.
-TEST_F(TelemetryTest, PhaseTimingsConcurrentFirstUseDoesNotDuplicate) {
-  constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 250;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < kAddsPerThread; ++i) {
-        PhaseTimings::Global().Add("racy_phase", 0.001);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const auto snapshot = PhaseTimings::Global().Snapshot();
-  size_t entries = 0;
-  double total = 0.0;
-  for (const auto& [name, seconds] : snapshot) {
-    if (name == "racy_phase") {
-      ++entries;
-      total = seconds;
-    }
-  }
-  EXPECT_EQ(entries, 1u);
-  EXPECT_NEAR(total, kThreads * kAddsPerThread * 0.001, 1e-9);
+  // One entry per *name*, in first-seen pre-order, even though "shared"
+  // occurs at two tree paths.
+  EXPECT_EQ(names, (std::vector<std::string>{"detect", "shared",
+                                             "detect/iteration"}));
 }
 
 // ---------------------------------------------------------------------------

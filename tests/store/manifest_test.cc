@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "data/synthetic.h"
 #include "store/io.h"
 #include "store/json.h"
+#include "store/shard.h"
 
 namespace enld {
 namespace {
@@ -235,6 +237,39 @@ TEST_F(ManifestTest, ShardHeaderDisagreeingWithItsEntryIsInvalidArgument) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("shard-00001.bin"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_F(ManifestTest, NonFiniteFeatureUnderAValidCrcIsInvalidArgument) {
+  Dataset data = SampleData();
+  ASSERT_TRUE(store::SaveDatasetSharded(data, dir_.string(), "d", 32).ok());
+  // Re-encode shard 1 (rows 32..63) with a NaN feature and rewrite its
+  // entry's size and CRC, so the file passes every byte-level check. Only
+  // the row validation can refuse it, and restore has no other row check.
+  data.features.Row(40)[2] = std::numeric_limits<float>::quiet_NaN();
+  const std::string shard = store::EncodeDatasetShardRows(data, 32, 64);
+  ASSERT_TRUE(
+      store::WriteFileDurable((dir_ / "shard-00001.bin").string(), shard)
+          .ok());
+  const auto bytes = store::ReadFile((dir_ / "manifest.json").string());
+  ASSERT_TRUE(bytes.ok());
+  auto doc = store::JsonValue::Parse(bytes.value());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_NE(doc->Find("shards"), nullptr);
+  store::JsonValue shards = *doc->Find("shards");
+  store::JsonValue& entry = shards.items()[1];
+  entry.Set("bytes",
+            store::JsonValue::Number(static_cast<double>(shard.size())));
+  entry.Set("crc32", store::JsonValue::Number(store::Crc32(shard)));
+  doc->Set("shards", std::move(shards));
+  std::ofstream(dir_ / "manifest.json") << doc->ToString();
+
+  const auto loaded = store::LoadDatasetSharded(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("non-finite feature value at "
+                                           "row 40, column 2"),
             std::string::npos)
       << loaded.status().ToString();
 }

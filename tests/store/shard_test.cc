@@ -121,7 +121,7 @@ TEST(StoreIoTest, Crc32MatchesZlib) {
     if (!SetKernelBackend(backend)) continue;
     SCOPED_TRACE(backend);
     // zlib.crc32(b"123456789") — the standard CRC-32 check value, so
-    // tools/check_snapshot.py computes identical checksums.
+    // tools/check_report.py snapshot computes identical checksums.
     EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
     EXPECT_EQ(Crc32(std::string()), 0u);
     EXPECT_EQ(FirstCrc32Mismatch(buffer, 1100), "");
