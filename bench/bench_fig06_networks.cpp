@@ -21,11 +21,13 @@ int main() {
     for (double noise : NoiseRates()) {
       const Workload workload = MakeWorkload(PaperDataset::kCifar100, noise);
 
-      TopofilterConfig topo_config =
-          PaperTopofilterConfig(PaperDataset::kCifar100);
-      topo_config.backbone = backbone;
-      TopofilterDetector topofilter(topo_config);
-      const MethodRunResult topo_run = RunDetector(&topofilter, workload);
+      detect::DetectorContext context =
+          PaperDetectorContext(PaperDataset::kCifar100);
+      context.topofilter.backbone = backbone;
+      auto topofilter = detect::CreateDetector("topofilter", {}, context);
+      ENLD_CHECK(topofilter.ok());
+      const MethodRunResult topo_run =
+          RunDetector(topofilter->get(), workload);
       topofilter_time += topo_run.average_process_seconds();
 
       EnldConfig enld_config = PaperEnldConfig(PaperDataset::kCifar100);

@@ -10,7 +10,9 @@
 // per (connections, offered qps) cell, and the serving span tree /
 // rpc/* counters via --telemetry_out=report.json (or ENLD_TELEMETRY).
 //
-// Environment overrides for quick CI runs:
+// Environment overrides for quick CI runs; a value that is not a positive
+// integer (or, for the lists, comma-separated positive integers) exits 2
+// before the server starts:
 //   ENLD_BENCH_DATASETS        stream length to cycle over (default 12)
 //   ENLD_BENCH_SERVING_REQS    requests per cell (default 48)
 //   ENLD_BENCH_SERVING_QPS     comma-separated offered rates (default
@@ -22,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,29 +42,6 @@ namespace {
 
 using namespace enld;
 using Clock = std::chrono::steady_clock;
-
-std::vector<size_t> EnvList(const char* name,
-                            const std::vector<size_t>& fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  std::vector<size_t> values;
-  const char* cursor = env;
-  while (*cursor != '\0') {
-    char* next = nullptr;
-    const long parsed = std::strtol(cursor, &next, 10);
-    if (next == cursor) break;
-    if (parsed > 0) values.push_back(static_cast<size_t>(parsed));
-    cursor = *next == ',' ? next + 1 : next;
-  }
-  return values.empty() ? fallback : values;
-}
-
-size_t EnvCount(const char* name, size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
-}
 
 double PercentileMs(std::vector<double> sorted_ms, double q) {
   if (sorted_ms.empty()) return 0.0;
@@ -154,12 +132,13 @@ CellResult RunCell(int port, const Workload& workload, size_t connections,
 int main(int argc, char** argv) {
   telemetry::ResetTelemetry();
 
-  const size_t num_datasets = EnvCount("ENLD_BENCH_DATASETS", 12);
-  const size_t total_requests = EnvCount("ENLD_BENCH_SERVING_REQS", 48);
+  const size_t num_datasets = bench::DatasetBudget(12);
+  const size_t total_requests =
+      bench::PositiveCounts("ENLD_BENCH_SERVING_REQS", {48}, false)[0];
   const std::vector<size_t> rates =
-      EnvList("ENLD_BENCH_SERVING_QPS", {40, 160});
+      bench::PositiveCounts("ENLD_BENCH_SERVING_QPS", {40, 160});
   const std::vector<size_t> conns =
-      EnvList("ENLD_BENCH_SERVING_CONNS", {1, 4});
+      bench::PositiveCounts("ENLD_BENCH_SERVING_CONNS", {1, 4});
 
   WorkloadConfig workload_config = Cifar100WorkloadConfig(0.2);
   workload_config.stream.num_datasets = num_datasets;

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/topofilter.h"
 #include "common/check.h"
 #include "common/table.h"
 #include "detect/registry.h"
@@ -89,18 +88,35 @@ inline std::vector<PaperDataset> PaperTasks() {
   return tasks;
 }
 
+/// The positive integers of a comma-separated environment value, or
+/// `fallback` when it is unset; one value only unless `list`. Any other
+/// value exits 2.
+inline std::vector<size_t> PositiveCounts(const char* name,
+                                          std::vector<size_t> fallback,
+                                          bool list = true) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  const std::vector<std::string> tokens = SplitBenchEnv(env);
+  std::vector<size_t> counts;
+  for (const std::string& token : tokens) {
+    char* end = nullptr;
+    const long parsed = std::strtol(token.c_str(), &end, 10);
+    if (token.empty() || *end != '\0' || parsed <= 0 ||
+        (!list && tokens.size() > 1)) {
+      RejectBenchEnv(name, env,
+                     list ? "comma-separated positive integers, e.g. 1,4"
+                          : "a positive integer");
+    }
+    counts.push_back(static_cast<size_t>(parsed));
+  }
+  return counts;
+}
+
 /// Number of incremental datasets to process. Defaults to the paper's
 /// stream length for the profile; the ENLD_BENCH_DATASETS environment
 /// variable (a positive integer) overrides it (useful for quick runs).
 inline size_t DatasetBudget(size_t paper_count) {
-  const char* env = std::getenv("ENLD_BENCH_DATASETS");
-  if (env == nullptr || *env == '\0') return paper_count;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (*end != '\0' || parsed <= 0) {
-    RejectBenchEnv("ENLD_BENCH_DATASETS", env, "a positive integer");
-  }
-  return static_cast<size_t>(parsed);
+  return PositiveCounts("ENLD_BENCH_DATASETS", {paper_count}, false)[0];
 }
 
 /// Builds the workload for a paper dataset at a noise rate, honouring the

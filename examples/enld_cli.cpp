@@ -176,8 +176,8 @@ bool CollectDetectorOptions(int argc, char** argv,
   return true;
 }
 
-/// Enumerates the registry: one line per detector, plus its option table.
-/// The listing is generated at runtime, so newly registered detectors show
+/// Enumerates the detector table: one line per detector, plus its
+/// options. The listing is generated at runtime, so a new table row shows
 /// up without touching the CLI.
 void PrintDetectorList(FILE* out) {
   const std::vector<detect::DetectorInfo> detectors =
@@ -188,7 +188,7 @@ void PrintDetectorList(FILE* out) {
                  info.display_name.c_str(), info.description.c_str());
     for (const detect::OptionSpec& option : info.options) {
       std::fprintf(out, "      %s=%s  %s\n", option.key.c_str(),
-                   option.default_value.c_str(),
+                   option.default_value().c_str(),
                    option.description.c_str());
     }
   }
@@ -936,7 +936,8 @@ int RunDetect(int argc, char** argv) {
   const std::string telemetry_path =
       telemetry::TelemetryOutPath(argc, argv);
   if (!telemetry_path.empty()) {
-    const Status written = WriteRunTelemetry(run, telemetry_path);
+    const Status written =
+        telemetry::WriteRunReport(run.telemetry, telemetry_path);
     std::printf("telemetry report -> %s: %s\n", telemetry_path.c_str(),
                 written.ToString().c_str());
     if (!written.ok()) return 1;

@@ -8,6 +8,9 @@
 //
 //   ./build/examples/enld_server [noise_rate] [flags]
 //
+// `--help` prints the usage; any other argument that is not one of the
+// flags below prints it to stderr and exits 2, before a socket opens.
+//
 //   --port=<n>             TCP port to bind on 127.0.0.1 (default 0 =
 //                          ephemeral; the chosen port is printed as
 //                          "serving on 127.0.0.1:<port>")
@@ -51,6 +54,26 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: enld_server [noise_rate] [--port=<n>] [--datasets=<n>]\n"
+    "    [--request_deadline=<s>] [--queue_wait_budget=<s>]\n"
+    "    [--batch_size=<n>] [--max_connections=<n>]\n"
+    "    [--slow_request_seconds=<s>] [--telemetry_out=<path>]\n";
+
+/// True when `arg`, the i-th argument, is the leading noise rate or one of
+/// the `--name=value` flags main reads.
+bool KnownArgument(int i, const char* arg) {
+  if (i == 1 && std::strncmp(arg, "--", 2) != 0) return true;
+  for (const char* name :
+       {"port", "datasets", "request_deadline", "queue_wait_budget",
+        "batch_size", "max_connections", "slow_request_seconds",
+        "telemetry_out"}) {
+    const std::string prefix = std::string("--") + name + "=";
+    if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) return true;
+  }
+  return false;
+}
+
 std::string FlagValue(int argc, char** argv, const std::string& name,
                       const std::string& fallback) {
   const std::string prefix = "--" + name + "=";
@@ -66,6 +89,19 @@ std::string FlagValue(int argc, char** argv, const std::string& name,
 
 int main(int argc, char** argv) {
   using namespace enld;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+  }
+  for (int i = 1; i < argc; ++i) {
+    if (!KnownArgument(i, argv[i])) {
+      std::fprintf(stderr, "enld_server: unknown argument '%s'\n%s",
+                   argv[i], kUsage);
+      return 2;
+    }
+  }
   const double noise_rate =
       argc > 1 && std::strncmp(argv[1], "--", 2) != 0 ? std::atof(argv[1])
                                                       : 0.2;

@@ -6,15 +6,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <vector>
 
-#include "baselines/confident_learning.h"
-#include "baselines/default_detector.h"
-#include "baselines/topofilter.h"
+#include "common/check.h"
 #include "common/table.h"
 #include "data/workload.h"
-#include "enld/framework.h"
+#include "detect/registry.h"
 #include "eval/experiment.h"
 #include "eval/paper_setup.h"
 
@@ -31,23 +27,13 @@ int main(int argc, char** argv) {
       workload.inventory.size(), workload.inventory.num_classes,
       workload.incremental.size(), noise_rate);
 
-  const GeneralModelConfig general =
-      PaperGeneralConfig(PaperDataset::kCifar100);
-  std::vector<std::unique_ptr<NoisyLabelDetector>> detectors;
-  detectors.push_back(std::make_unique<DefaultDetector>(general));
-  detectors.push_back(std::make_unique<ConfidentLearningDetector>(
-      general, ClVariant::kPruneByClass));
-  detectors.push_back(std::make_unique<ConfidentLearningDetector>(
-      general, ClVariant::kPruneByNoiseRate));
-  detectors.push_back(std::make_unique<TopofilterDetector>(
-      PaperTopofilterConfig(PaperDataset::kCifar100)));
-  detectors.push_back(std::make_unique<EnldFramework>(
-      PaperEnldConfig(PaperDataset::kCifar100)));
-
   TablePrinter table({"method", "precision", "recall", "f1", "setup_s",
                       "avg_process_s"});
-  for (auto& detector : detectors) {
-    const MethodRunResult run = RunDetector(detector.get(), workload);
+  for (const char* key : {"default", "cl1", "cl2", "topofilter", "enld"}) {
+    auto detector = detect::CreateDetector(
+        key, {}, PaperDetectorContext(PaperDataset::kCifar100));
+    ENLD_CHECK(detector.ok());
+    const MethodRunResult run = RunDetector(detector->get(), workload);
     const DetectionMetrics avg = run.average();
     table.AddRow({run.method, TablePrinter::Num(avg.precision),
                   TablePrinter::Num(avg.recall), TablePrinter::Num(avg.f1),

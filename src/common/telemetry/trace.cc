@@ -39,22 +39,6 @@ void SnapshotNode(const TraceTree::Node& node, SpanSnapshot* out) {
   }
 }
 
-void FlattenNode(const TraceTree::Node& node,
-                 std::vector<std::pair<std::string, double>>* out) {
-  for (const auto& child : node.children) {
-    bool found = false;
-    for (auto& entry : *out) {
-      if (entry.first == child->name) {
-        entry.second += child->total_seconds;
-        found = true;
-        break;
-      }
-    }
-    if (!found) out->emplace_back(child->name, child->total_seconds);
-    FlattenNode(*child, out);
-  }
-}
-
 }  // namespace
 
 const SpanSnapshot* SpanSnapshot::Child(const std::string& child_name) const {
@@ -92,13 +76,6 @@ void TraceTree::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   root_ = std::make_unique<Node>();
   root_->name = "run";
-}
-
-std::vector<std::pair<std::string, double>> TraceTree::FlattenByName() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, double>> out;
-  FlattenNode(*root_, &out);
-  return out;
 }
 
 ScopedSpan::ScopedSpan(std::string name) {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -56,12 +55,6 @@ class TraceTree {
 
   /// Drops every node. Must not be called while spans are active.
   void Reset();
-
-  /// Pre-order walk summing total_seconds by span *name* (not path), in
-  /// first-seen order (the flat view in MethodRunResult::phase_seconds): a
-  /// span named "detect/sampling" contributes the same key whether it sits
-  /// under "detect" or under "detect/iteration".
-  std::vector<std::pair<std::string, double>> FlattenByName() const;
 
  private:
   friend class ScopedSpan;

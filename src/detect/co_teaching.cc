@@ -1,18 +1,41 @@
-#include "baselines/co_teaching.h"
-
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "baselines/related.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "detect/builders.h"
+#include "detect/related.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
 namespace enld {
-
+namespace detect {
 namespace {
+
+/// Co-teaching: two networks train simultaneously on the related inventory
+/// subset + D; in every batch each network selects its smallest-loss
+/// samples and the *peer* updates on them, so the two networks filter each
+/// other's noise. A sample of D is flagged noisy when both trained networks
+/// disagree with its observed label.
+class CoTeachingDetector : public NoisyLabelDetector {
+ public:
+  explicit CoTeachingDetector(const CoTeachingConfig& config)
+      : config_(config) {}
+
+  void Setup(const Dataset& inventory) override {
+    inventory_ = inventory;
+    request_counter_ = 0;
+  }
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override { return "coteaching"; }
+
+ private:
+  CoTeachingConfig config_;
+  Dataset inventory_;
+  uint64_t request_counter_ = 0;
+};
 
 /// Gathers rows of `source` into a batch matrix plus the matching one-hot
 /// targets.
@@ -38,13 +61,6 @@ std::vector<size_t> SmallestPositions(const std::vector<double>& values,
                     [&](size_t a, size_t b) { return values[a] < values[b]; });
   order.resize(keep);
   return order;
-}
-
-}  // namespace
-
-void CoTeachingDetector::Setup(const Dataset& inventory) {
-  inventory_ = inventory;
-  request_counter_ = 0;
 }
 
 DetectionResult CoTeachingDetector::Detect(const Dataset& incremental) {
@@ -142,17 +158,18 @@ DetectionResult CoTeachingDetector::Detect(const Dataset& incremental) {
   // A sample is noisy when both networks disagree with the observed label.
   const std::vector<int> pred_a = model_a->Predict(incremental.features);
   const std::vector<int> pred_b = model_b->Predict(incremental.features);
-  DetectionResult result;
-  for (size_t i = 0; i < incremental.size(); ++i) {
+  return PartitionLabeled(incremental, [&](size_t i) {
     const int observed = incremental.observed_labels[i];
-    if (observed == kMissingLabel) continue;
-    if (pred_a[i] != observed && pred_b[i] != observed) {
-      result.noisy_indices.push_back(i);
-    } else {
-      result.clean_indices.push_back(i);
-    }
-  }
-  return result;
+    return pred_a[i] != observed && pred_b[i] != observed;
+  });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewCoTeaching(
+    const DetectorContext& context) {
+  return std::make_unique<CoTeachingDetector>(context.coteaching);
+}
+
+}  // namespace detect
 }  // namespace enld

@@ -1,15 +1,50 @@
-#include "baselines/confident_learning.h"
-
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
+#include "detect/builders.h"
+#include "nn/confident_joint.h"
 
 namespace enld {
+namespace detect {
+namespace {
 
-void ConfidentLearningDetector::Setup(const Dataset& inventory) {
-  general_ = InitGeneralModel(inventory, config_);
-}
+/// The two pruning rules of Confident Learning (Northcutt et al. 2021)
+/// the paper reports as CL-1 and CL-2.
+enum class ClVariant {
+  /// Prune-by-class: per observed class i, remove the n_i least
+  /// self-confident samples, n_i = estimated off-diagonal mass of row i.
+  kPruneByClass,
+  /// Prune-by-noise-rate: per off-diagonal cell (i, j), remove the
+  /// J[i][j]-proportional count of samples observed as i with the largest
+  /// margin toward class j.
+  kPruneByNoiseRate,
+};
+
+/// Confident Learning baseline: uses the pretrained general model's softmax
+/// outputs, re-estimating the confident joint over I_c together with the
+/// arriving dataset (the paper's adaptation, Section V-A4), then pruning
+/// the arriving samples by the selected rule. No per-request training.
+class ConfidentLearningDetector : public NoisyLabelDetector {
+ public:
+  ConfidentLearningDetector(const GeneralModelConfig& config,
+                            ClVariant variant)
+      : config_(config), variant_(variant) {}
+
+  void Setup(const Dataset& inventory) override {
+    general_ = InitGeneralModel(inventory, config_);
+  }
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override {
+    return variant_ == ClVariant::kPruneByClass ? "cl1" : "cl2";
+  }
+
+ private:
+  GeneralModelConfig config_;
+  ClVariant variant_;
+  GeneralModel general_;
+};
 
 DetectionResult ConfidentLearningDetector::Detect(
     const Dataset& incremental) {
@@ -73,16 +108,20 @@ DetectionResult ConfidentLearningDetector::Detect(
     }
   }
 
-  DetectionResult result;
-  for (size_t i = 0; i < incremental.size(); ++i) {
-    if (incremental.observed_labels[i] == kMissingLabel) continue;
-    if (is_noisy[i]) {
-      result.noisy_indices.push_back(i);
-    } else {
-      result.clean_indices.push_back(i);
-    }
-  }
-  return result;
+  return PartitionLabeled(incremental, [&](size_t i) { return is_noisy[i]; });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewCl1(const DetectorContext& context) {
+  return std::make_unique<ConfidentLearningDetector>(
+      context.general, ClVariant::kPruneByClass);
+}
+
+std::unique_ptr<NoisyLabelDetector> NewCl2(const DetectorContext& context) {
+  return std::make_unique<ConfidentLearningDetector>(
+      context.general, ClVariant::kPruneByNoiseRate);
+}
+
+}  // namespace detect
 }  // namespace enld

@@ -1,17 +1,35 @@
-#include "baselines/incv.h"
-
 #include <algorithm>
+#include <vector>
 
-#include "baselines/related.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "detect/builders.h"
+#include "detect/related.h"
 
 namespace enld {
+namespace detect {
+namespace {
 
-void IncvDetector::Setup(const Dataset& inventory) {
-  inventory_ = inventory;
-  request_counter_ = 0;
-}
+/// INCV (Iterative Noisy Cross-Validation): randomly split the data into
+/// two halves; train on one half, keep in the *other* half the samples the
+/// model agrees with; swap roles; iterate on the kept set. Samples of D
+/// never kept by the cross-validation are flagged noisy.
+class IncvDetector : public NoisyLabelDetector {
+ public:
+  explicit IncvDetector(const IncvConfig& config) : config_(config) {}
+
+  void Setup(const Dataset& inventory) override {
+    inventory_ = inventory;
+    request_counter_ = 0;
+  }
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override { return "incv"; }
+
+ private:
+  IncvConfig config_;
+  Dataset inventory_;
+  uint64_t request_counter_ = 0;
+};
 
 DetectionResult IncvDetector::Detect(const Dataset& incremental) {
   ENLD_CHECK(!inventory_.empty());  // Setup must run first.
@@ -30,13 +48,7 @@ DetectionResult IncvDetector::Detect(const Dataset& incremental) {
   }
   if (labeled.size() < 4) {
     // Too small to cross-validate; everything stays unjudged -> noisy.
-    DetectionResult result;
-    for (size_t i = 0; i < incremental.size(); ++i) {
-      if (incremental.observed_labels[i] != kMissingLabel) {
-        result.noisy_indices.push_back(i);
-      }
-    }
-    return result;
+    return PartitionLabeled(incremental, [](size_t) { return true; });
   }
 
   std::vector<size_t> selection = labeled;
@@ -94,16 +106,15 @@ DetectionResult IncvDetector::Detect(const Dataset& incremental) {
   std::vector<bool> selected(train_set.size(), false);
   for (size_t pos : selection) selected[pos] = true;
 
-  DetectionResult result;
-  for (size_t i = 0; i < incremental.size(); ++i) {
-    if (incremental.observed_labels[i] == kMissingLabel) continue;
-    if (selected[d_offset + i]) {
-      result.clean_indices.push_back(i);
-    } else {
-      result.noisy_indices.push_back(i);
-    }
-  }
-  return result;
+  return PartitionLabeled(
+      incremental, [&](size_t i) { return !selected[d_offset + i]; });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewIncv(const DetectorContext& context) {
+  return std::make_unique<IncvDetector>(context.incv);
+}
+
+}  // namespace detect
 }  // namespace enld

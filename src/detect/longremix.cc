@@ -1,5 +1,3 @@
-#include "detect/longremix.h"
-
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -7,15 +5,43 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "detect/builders.h"
 #include "nn/loss.h"
-#include "nn/trainer.h"
 
 namespace enld {
+namespace detect {
+namespace {
 
-void LongRemixDetector::Setup(const Dataset& inventory) {
-  general_ = InitGeneralModel(inventory, config_.general);
-  request_counter_ = 0;
-}
+/// LongReMix-style detection (after Cordeiro et al. 2023's two-stage
+/// "high-confidence seed then expand" scheme): judge D against a general
+/// model trained once on the inventory, seed a high-confidence clean set
+/// with the samples the model agrees with at small loss (per-class
+/// lowest-loss fallback so no observed class starts empty), then
+/// alternately fine-tune a copy of the model on the seed and admit
+/// samples it newly agrees with. D-samples never admitted across all
+/// rounds are flagged noisy.
+///
+/// The conservative counterpoint to threshold detectors: precision comes
+/// from seeding strictly, recall from the expansion rounds.
+class LongRemixDetector : public NoisyLabelDetector {
+ public:
+  LongRemixDetector(const GeneralModelConfig& general,
+                    const LongRemixConfig& config)
+      : general_config_(general), config_(config) {}
+
+  void Setup(const Dataset& inventory) override {
+    general_ = InitGeneralModel(inventory, general_config_);
+    request_counter_ = 0;
+  }
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override { return "longremix"; }
+
+ private:
+  GeneralModelConfig general_config_;
+  LongRemixConfig config_;
+  GeneralModel general_;
+  uint64_t request_counter_ = 0;
+};
 
 DetectionResult LongRemixDetector::Detect(const Dataset& incremental) {
   ENLD_CHECK(general_.model != nullptr);  // Setup must run first.
@@ -26,8 +52,7 @@ DetectionResult LongRemixDetector::Detect(const Dataset& incremental) {
   for (size_t i = 0; i < incremental.size(); ++i) {
     if (incremental.observed_labels[i] != kMissingLabel) labeled.push_back(i);
   }
-  DetectionResult result;
-  if (labeled.empty()) return result;
+  if (labeled.empty()) return DetectionResult();
 
   Matrix logits;
   general_.model->Forward(incremental.features, &logits);
@@ -91,10 +116,10 @@ DetectionResult LongRemixDetector::Detect(const Dataset& incremental) {
       const Dataset seed_set = incremental.Subset(seed_positions);
       TrainConfig refine;
       refine.epochs = config_.refine_epochs;
-      refine.batch_size = config_.general.train.batch_size;
+      refine.batch_size = general_config_.train.batch_size;
       refine.sgd.learning_rate =
-          config_.general.train.sgd.learning_rate * 0.2;
-      refine.sgd.weight_decay = config_.general.train.sgd.weight_decay;
+          general_config_.train.sgd.learning_rate * 0.2;
+      refine.sgd.weight_decay = general_config_.train.sgd.weight_decay;
       refine.seed = rng.NextUInt64();
       TrainModel(&refined, seed_set, /*validation=*/nullptr, refine);
     }
@@ -106,14 +131,16 @@ DetectionResult LongRemixDetector::Detect(const Dataset& incremental) {
     }
   }
 
-  for (size_t i : labeled) {
-    if (admitted[i]) {
-      result.clean_indices.push_back(i);
-    } else {
-      result.noisy_indices.push_back(i);
-    }
-  }
-  return result;
+  return PartitionLabeled(incremental, [&](size_t i) { return !admitted[i]; });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewLongRemix(
+    const DetectorContext& context) {
+  return std::make_unique<LongRemixDetector>(context.general,
+                                             context.longremix);
+}
+
+}  // namespace detect
 }  // namespace enld

@@ -1,17 +1,40 @@
-#include "baselines/o2u.h"
+#include <vector>
 
-#include "baselines/related.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "detect/builders.h"
+#include "detect/related.h"
 #include "nn/loss.h"
 
 namespace enld {
+namespace detect {
+namespace {
 
-void O2UDetector::Setup(const Dataset& inventory) {
-  inventory_ = inventory;
-  request_counter_ = 0;
-}
+/// O2U-Net: train on the related inventory subset + D with a cyclical
+/// learning rate and record every sample's loss after each epoch. Samples
+/// whose *mean tracked loss* lands in the high cluster of a 1-D 2-means
+/// split are flagged noisy (mislabeled samples stay hard through the
+/// oscillation, so their average loss stays high).
+///
+/// Another training-per-request method: accuracy from training, process
+/// cost comparable to Topofilter.
+class O2UDetector : public NoisyLabelDetector {
+ public:
+  explicit O2UDetector(const O2UConfig& config) : config_(config) {}
+
+  void Setup(const Dataset& inventory) override {
+    inventory_ = inventory;
+    request_counter_ = 0;
+  }
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override { return "o2u"; }
+
+ private:
+  O2UConfig config_;
+  Dataset inventory_;
+  uint64_t request_counter_ = 0;
+};
 
 DetectionResult O2UDetector::Detect(const Dataset& incremental) {
   ENLD_CHECK(!inventory_.empty());  // Setup must run first.
@@ -20,7 +43,6 @@ DetectionResult O2UDetector::Detect(const Dataset& incremental) {
   ++request_counter_;
 
   Dataset train_set = RelatedInventorySubset(inventory_, incremental);
-  const size_t d_offset = train_set.size();
   train_set.Append(incremental);
 
   Rng rng(config_.seed + request_counter_);
@@ -60,27 +82,25 @@ DetectionResult O2UDetector::Detect(const Dataset& incremental) {
       ++snapshots;
     }
   }
-  (void)d_offset;
 
-  std::vector<double> mean_losses;
-  std::vector<size_t> labeled_positions;
+  std::vector<double> labeled_losses;
   for (size_t i = 0; i < incremental.size(); ++i) {
+    tracked[i] /= static_cast<double>(snapshots);  // The mean.
     if (incremental.observed_labels[i] == kMissingLabel) continue;
-    labeled_positions.push_back(i);
-    mean_losses.push_back(tracked[i] / static_cast<double>(snapshots));
+    labeled_losses.push_back(tracked[i]);
   }
 
-  DetectionResult result;
-  if (labeled_positions.empty()) return result;
-  const double threshold = TwoMeansThreshold(mean_losses);
-  for (size_t j = 0; j < labeled_positions.size(); ++j) {
-    if (mean_losses[j] > threshold) {
-      result.noisy_indices.push_back(labeled_positions[j]);
-    } else {
-      result.clean_indices.push_back(labeled_positions[j]);
-    }
-  }
-  return result;
+  if (labeled_losses.empty()) return DetectionResult();
+  const double threshold = TwoMeansThreshold(labeled_losses);
+  return PartitionLabeled(
+      incremental, [&](size_t i) { return tracked[i] > threshold; });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewO2U(const DetectorContext& context) {
+  return std::make_unique<O2UDetector>(context.o2u);
+}
+
+}  // namespace detect
 }  // namespace enld

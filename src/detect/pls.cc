@@ -1,29 +1,49 @@
-#include "detect/pls.h"
-
 #include <vector>
 
 #include "common/check.h"
-#include "nn/trainer.h"
+#include "detect/builders.h"
 
 namespace enld {
+namespace detect {
+namespace {
 
-void PlsDetector::Setup(const Dataset& inventory) {
-  general_ = InitGeneralModel(inventory, config_.general);
-  request_counter_ = 0;
-}
+/// PLS: two-stage selection. Stage 1 splits the arriving dataset by the
+/// general model's *self-confidence* M(x, θ)[ỹ] against a per-class mean
+/// threshold — the high side is trusted as (almost) surely clean. Stage 2
+/// fine-tunes a copy of θ on exactly that high-confidence split and
+/// re-judges the low side with the refined model: a low-confidence sample
+/// is clean iff the refined model agrees with its observed label.
+///
+/// Like CL it reuses the pretrained θ (cheap per request); unlike CL the
+/// final verdict comes from a model adapted to the arriving distribution.
+class PlsDetector : public NoisyLabelDetector {
+ public:
+  PlsDetector(const GeneralModelConfig& general, const PlsConfig& config)
+      : general_config_(general), config_(config) {}
+
+  void Setup(const Dataset& inventory) override {
+    general_ = InitGeneralModel(inventory, general_config_);
+    request_counter_ = 0;
+  }
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override { return "pls"; }
+
+ private:
+  GeneralModelConfig general_config_;
+  PlsConfig config_;
+  GeneralModel general_;
+  uint64_t request_counter_ = 0;
+};
 
 DetectionResult PlsDetector::Detect(const Dataset& incremental) {
   ENLD_CHECK(general_.model != nullptr);  // Setup must run first.
   ++request_counter_;
 
-  DetectionResult result;
-  const std::vector<size_t> missing = incremental.MissingLabelIndices();
   std::vector<size_t> labeled;
-  labeled.reserve(incremental.size() - missing.size());
   for (size_t i = 0; i < incremental.size(); ++i) {
     if (incremental.observed_labels[i] != kMissingLabel) labeled.push_back(i);
   }
-  if (labeled.empty()) return result;
+  if (labeled.empty()) return DetectionResult();
 
   // Stage 1: split by self-confidence against the per-class mean. The high
   // side is the trusted seed; only the low side goes to stage 2.
@@ -65,14 +85,16 @@ DetectionResult PlsDetector::Detect(const Dataset& incremental) {
   }
 
   const std::vector<int> predicted = refined.Predict(incremental.features);
-  for (size_t i : labeled) {
-    if (high[i] || predicted[i] == incremental.observed_labels[i]) {
-      result.clean_indices.push_back(i);
-    } else {
-      result.noisy_indices.push_back(i);
-    }
-  }
-  return result;
+  return PartitionLabeled(incremental, [&](size_t i) {
+    return !high[i] && predicted[i] != incremental.observed_labels[i];
+  });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewPls(const DetectorContext& context) {
+  return std::make_unique<PlsDetector>(context.general, context.pls);
+}
+
+}  // namespace detect
 }  // namespace enld

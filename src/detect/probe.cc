@@ -1,15 +1,46 @@
-#include "detect/probe.h"
-
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "detect/builders.h"
 #include "nn/loss.h"
-#include "nn/trainer.h"
 
 namespace enld {
+namespace detect {
 namespace {
+
+/// Probe ranking: train a probe on the inventory, keeping the weights of
+/// the last `checkpoints` epochs, then score every arriving D-sample by
+/// its *mean* cross-entropy across those checkpoints (mislabeled samples
+/// stay hard across the trajectory; a single final snapshot is noisier).
+/// Instead of a fixed cut, the detector sweeps `sweep_points` candidate
+/// thresholds over the ranked losses and keeps the one maximizing the
+/// between-class variance (Otsu's criterion) — a noise-rate-free split
+/// that adapts to each arriving dataset.
+///
+/// The O2U family's loss-tracking signal with a sweep in place of
+/// 2-means; the two disagree exactly when the loss histogram is skewed,
+/// which is what the detector matrix surfaces.
+class ProbeDetector : public NoisyLabelDetector {
+ public:
+  ProbeDetector(const GeneralModelConfig& general, const ProbeConfig& config)
+      : general_(general), config_(config) {}
+
+  void Setup(const Dataset& inventory) override;
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override { return "probe"; }
+
+ private:
+  /// Backbone, training schedule and seed of the probe.
+  GeneralModelConfig general_;
+  ProbeConfig config_;
+  std::unique_ptr<MlpModel> probe_;
+  /// Weight snapshots of the last `checkpoints` training epochs, oldest
+  /// first (the last entry is the final trained state).
+  std::vector<std::vector<float>> checkpoints_;
+};
 
 /// Otsu's criterion over 1-D values: the split (among `points` quantile
 /// positions of the sorted values) maximizing w0 * w1 * (mu0 - mu1)^2.
@@ -51,21 +82,19 @@ double BetweenClassVarianceThreshold(const std::vector<double>& values,
   return best_threshold;
 }
 
-}  // namespace
-
 void ProbeDetector::Setup(const Dataset& inventory) {
   ENLD_CHECK(!inventory.empty());
-  const size_t total = std::max<size_t>(1, config_.general.train.epochs);
+  const size_t total = std::max<size_t>(1, general_.train.epochs);
   const size_t tracked =
       std::min(std::max<size_t>(1, config_.checkpoints), total);
 
-  Rng rng(config_.general.seed);
-  probe_ = MakeBackboneModel(config_.general.backbone, inventory.dim(),
+  Rng rng(general_.seed);
+  probe_ = MakeBackboneModel(general_.backbone, inventory.dim(),
                              inventory.num_classes, rng);
   checkpoints_.clear();
   // Epoch-at-a-time training so the trailing epochs can be snapshotted.
   // lr_decay_per_epoch is applied manually across the single-epoch calls.
-  TrainConfig step = config_.general.train;
+  TrainConfig step = general_.train;
   step.epochs = 1;
   for (size_t epoch = 0; epoch < total; ++epoch) {
     step.seed = rng.NextUInt64();
@@ -92,27 +121,25 @@ DetectionResult ProbeDetector::Detect(const Dataset& incremental) {
   // Leave the probe in its final trained state for the next request.
   probe_->SetWeights(checkpoints_.back());
 
-  std::vector<size_t> labeled;
-  std::vector<double> mean_losses;
+  std::vector<double> labeled_losses;
   for (size_t i = 0; i < incremental.size(); ++i) {
+    tracked[i] /= static_cast<double>(checkpoints_.size());  // The mean.
     if (incremental.observed_labels[i] == kMissingLabel) continue;
-    labeled.push_back(i);
-    mean_losses.push_back(tracked[i] /
-                          static_cast<double>(checkpoints_.size()));
+    labeled_losses.push_back(tracked[i]);
   }
 
-  DetectionResult result;
-  if (labeled.empty()) return result;
+  if (labeled_losses.empty()) return DetectionResult();
   const double threshold =
-      BetweenClassVarianceThreshold(mean_losses, config_.sweep_points);
-  for (size_t j = 0; j < labeled.size(); ++j) {
-    if (mean_losses[j] > threshold) {
-      result.noisy_indices.push_back(labeled[j]);
-    } else {
-      result.clean_indices.push_back(labeled[j]);
-    }
-  }
-  return result;
+      BetweenClassVarianceThreshold(labeled_losses, config_.sweep_points);
+  return PartitionLabeled(
+      incremental, [&](size_t i) { return tracked[i] > threshold; });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewProbe(const DetectorContext& context) {
+  return std::make_unique<ProbeDetector>(context.general, context.probe);
+}
+
+}  // namespace detect
 }  // namespace enld

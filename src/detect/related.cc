@@ -1,4 +1,4 @@
-#include "baselines/related.h"
+#include "detect/related.h"
 
 namespace enld {
 

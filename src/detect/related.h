@@ -1,5 +1,5 @@
-#ifndef ENLD_BASELINES_RELATED_H_
-#define ENLD_BASELINES_RELATED_H_
+#ifndef ENLD_DETECT_RELATED_H_
+#define ENLD_DETECT_RELATED_H_
 
 #include "data/dataset.h"
 
@@ -14,4 +14,4 @@ Dataset RelatedInventorySubset(const Dataset& inventory,
 
 }  // namespace enld
 
-#endif  // ENLD_BASELINES_RELATED_H_
+#endif  // ENLD_DETECT_RELATED_H_

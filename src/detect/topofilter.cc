@@ -1,21 +1,46 @@
-#include "baselines/topofilter.h"
-
 #include <algorithm>
+#include <utility>
+#include <vector>
 
-#include "baselines/related.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "detect/builders.h"
+#include "detect/related.h"
 #include "graph/knn_graph.h"
 #include "knn/kdtree.h"
 
 namespace enld {
+namespace detect {
+namespace {
 
-void TopofilterDetector::Setup(const Dataset& inventory) {
+/// Topofilter: for every arriving dataset, train a fresh model on the
+/// inventory subset whose labels appear in label(D) plus D itself (the
+/// paper's fairness adaptation, Section V-A4), embed D in the model's
+/// latent space, build a kNN graph per observed class over D together with
+/// the related inventory samples of that class, and keep the largest
+/// connected component as clean; D-samples outside it are noisy.
+///
+/// Accurate (training-based) but pays a full training run per request —
+/// the efficiency foil of Fig. 8.
+class TopofilterDetector : public NoisyLabelDetector {
+ public:
+  explicit TopofilterDetector(const TopofilterConfig& config)
+      : config_(config) {}
+
   // Topofilter has no pretraining stage: it trains per request. Setup only
   // retains the inventory to draw related samples from.
-  inventory_ = inventory;
-  request_counter_ = 0;
-}
+  void Setup(const Dataset& inventory) override {
+    inventory_ = inventory;
+    request_counter_ = 0;
+  }
+  DetectionResult Detect(const Dataset& incremental) override;
+  std::string name() const override { return "topofilter"; }
+
+ private:
+  TopofilterConfig config_;
+  Dataset inventory_;
+  uint64_t request_counter_ = 0;
+};
 
 DetectionResult TopofilterDetector::Detect(const Dataset& incremental) {
   ENLD_CHECK(!inventory_.empty());  // Setup must run first.
@@ -118,17 +143,17 @@ DetectionResult TopofilterDetector::Detect(const Dataset& incremental) {
     }
   }
 
-  DetectionResult result;
   const uint32_t majority = static_cast<uint32_t>(checkpoints / 2 + 1);
-  for (size_t i = 0; i < incremental.size(); ++i) {
-    if (incremental.observed_labels[i] == kMissingLabel) continue;
-    if (clean_votes[i] >= majority) {
-      result.clean_indices.push_back(i);
-    } else {
-      result.noisy_indices.push_back(i);
-    }
-  }
-  return result;
+  return PartitionLabeled(
+      incremental, [&](size_t i) { return clean_votes[i] < majority; });
 }
 
+}  // namespace
+
+std::unique_ptr<NoisyLabelDetector> NewTopofilter(
+    const DetectorContext& context) {
+  return std::make_unique<TopofilterDetector>(context.topofilter);
+}
+
+}  // namespace detect
 }  // namespace enld

@@ -1,5 +1,5 @@
-#ifndef ENLD_BASELINES_DETECTOR_H_
-#define ENLD_BASELINES_DETECTOR_H_
+#ifndef ENLD_ENLD_DETECTOR_H_
+#define ENLD_ENLD_DETECTOR_H_
 
 #include <string>
 #include <vector>
@@ -25,6 +25,19 @@ struct DetectionResult {
   std::vector<int> recovered_labels;
 };
 
+/// The verdict a detector ends with: each labeled row of `dataset`, in
+/// ascending order, goes to noisy_indices when `is_noisy(row)` holds and
+/// to clean_indices otherwise.
+template <typename IsNoisy>
+DetectionResult PartitionLabeled(const Dataset& dataset, IsNoisy is_noisy) {
+  DetectionResult result;
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    if (dataset.observed_labels[i] == kMissingLabel) continue;
+    (is_noisy(i) ? result.noisy_indices : result.clean_indices).push_back(i);
+  }
+  return result;
+}
+
 /// Interface every detection method implements: one-time setup on the
 /// inventory, then repeated detection requests as incremental datasets
 /// arrive. The experiment runner times the two phases separately, which is
@@ -43,14 +56,10 @@ class NoisyLabelDetector {
   /// Canonical lowercase key of this detector. One key per detector, used
   /// consistently as the registry key (src/detect/registry.h), the
   /// telemetry method label and the bench report column value — e.g.
-  /// "cl1", "topofilter", "enld".
+  /// "cl1", "topofilter", "enld". The registry holds its display name.
   virtual std::string name() const = 0;
-
-  /// Human-readable name for figure-style tables and log headers (e.g.
-  /// "CL-1", "O2U-Net"). Defaults to the canonical key.
-  virtual std::string display_name() const { return name(); }
 };
 
 }  // namespace enld
 
-#endif  // ENLD_BASELINES_DETECTOR_H_
+#endif  // ENLD_ENLD_DETECTOR_H_

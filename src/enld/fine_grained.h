@@ -3,10 +3,10 @@
 
 #include <vector>
 
-#include "baselines/detector.h"
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "enld/config.h"
+#include "enld/detector.h"
 #include "nn/mlp.h"
 
 namespace enld {

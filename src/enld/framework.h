@@ -5,10 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "baselines/detector.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "enld/config.h"
+#include "enld/detector.h"
 #include "enld/feature_cache.h"
 #include "nn/confident_joint.h"
 #include "nn/general_model.h"
@@ -64,9 +64,6 @@ class EnldFramework : public NoisyLabelDetector {
 
   std::string name() const override {
     return SamplingPolicyKey(config_.policy);
-  }
-  std::string display_name() const override {
-    return SamplingPolicyName(config_.policy);
   }
 
   /// Algorithm 4: retrains the general model on the accumulated S_c, swaps

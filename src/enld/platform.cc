@@ -130,39 +130,9 @@ StatusOr<std::vector<size_t>> DataPlatform::AdmitSamples(
   return std::move(screen.admitted);
 }
 
-Status DataPlatform::InstallDetector(
-    std::unique_ptr<NoisyLabelDetector> detector) {
-  if (initialized_) {
-    return Status::FailedPrecondition(
-        "detectors must be installed before Initialize");
-  }
-  if (detector == nullptr) {
-    return Status::InvalidArgument("cannot install a null detector");
-  }
-  if (config_.detector == "enld") {
-    return Status::InvalidArgument(
-        "config names the built-in 'enld' detector; it is served by the "
-        "platform's own framework and cannot be replaced");
-  }
-  if (detector->name() != config_.detector) {
-    return Status::InvalidArgument(
-        "installed detector '" + detector->name() +
-        "' does not match the configured detector '" + config_.detector +
-        "'");
-  }
-  detector_ = std::move(detector);
-  return Status::OK();
-}
-
 Status DataPlatform::Initialize(const Dataset& inventory) {
   if (initialized_) {
     return Status::FailedPrecondition("platform already initialized");
-  }
-  if (config_.detector != "enld" && detector_ == nullptr) {
-    return Status::FailedPrecondition(
-        "config names detector '" + config_.detector +
-        "' but none was installed; call detect::ConfigurePlatformDetector "
-        "(link enld_detect) or InstallDetector before Initialize");
   }
   if (inventory.size() < 2) {
     return Status::InvalidArgument("inventory needs at least 2 samples");
@@ -180,9 +150,9 @@ Status DataPlatform::Initialize(const Dataset& inventory) {
   }
 
   if (admitted->size() == inventory.size()) {
-    active_detector().Setup(inventory);
+    framework_.Setup(inventory);
   } else {
-    active_detector().Setup(inventory.Subset(*admitted));
+    framework_.Setup(inventory.Subset(*admitted));
   }
   inventory_dim_ = inventory.dim();
   inventory_classes_ = inventory.num_classes;
@@ -268,9 +238,9 @@ StatusOr<DetectionResult> DataPlatform::Process(
   timer.AddPenalty(MaybeInjectStall("platform/slow_detect", deadline));
   DetectionResult result =
       screened
-          ? RemapResult(active_detector().Detect(incremental.Subset(*admitted)),
+          ? RemapResult(framework_.Detect(incremental.Subset(*admitted)),
                         *admitted, incremental.size())
-          : active_detector().Detect(incremental);
+          : framework_.Detect(incremental);
   last_timings_.detect_seconds =
       timer.ElapsedSeconds() - last_timings_.admission_seconds;
 
@@ -291,9 +261,6 @@ StatusOr<DetectionResult> DataPlatform::Process(
 }
 
 void DataPlatform::RunUpdatePolicy() {
-  // Algorithm 4 refreshes the ENLD general model; other detectors have no
-  // update process, so the policy never comes due for them.
-  if (detector_ != nullptr) return;
   const bool due = config_.update_every > 0 &&
                    stats_.requests % config_.update_every == 0;
   if (!due && !update_pending_) return;
@@ -315,11 +282,6 @@ void DataPlatform::RunUpdatePolicy() {
 Status DataPlatform::Update() {
   if (!initialized_) {
     return Status::FailedPrecondition("platform not initialized");
-  }
-  if (detector_ != nullptr) {
-    return Status::FailedPrecondition(
-        "model updates require the built-in 'enld' detector; '" +
-        config_.detector + "' has no update process");
   }
   if (framework_.selected_clean_count() < config_.min_update_samples) {
     return Status::FailedPrecondition(

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,19 +15,6 @@ namespace enld {
 /// Configuration of the DataPlatform service façade.
 struct DataPlatformConfig {
   EnldConfig enld;
-  /// Canonical registry key of the detector serving Process requests.
-  /// "enld" (the default) is the built-in framework, configured via the
-  /// `enld` field above and eligible for model updates and snapshots. Any
-  /// other key requires the detector instance to be installed via
-  /// InstallDetector before Initialize —
-  /// detect::ConfigurePlatformDetector (src/detect/platform_detector.h)
-  /// resolves the key through the registry and installs in one call; link
-  /// the `enld_detect` (or umbrella `enld`) target to use it.
-  std::string detector = "enld";
-  /// Registry options for the named detector (validated, typed — see
-  /// docs/DETECTORS.md), e.g. {{"epochs", "5"}}. Must stay empty for
-  /// "enld": the built-in framework is configured via `enld` above.
-  std::map<std::string, std::string> detector_options;
   /// Automatically refresh the general model (Algorithm 4) after this many
   /// detection requests; 0 disables auto-updates.
   size_t update_every = 0;
@@ -114,18 +99,9 @@ class DataPlatform {
  public:
   explicit DataPlatform(const DataPlatformConfig& config);
 
-  /// Installs the detector instance serving Process when
-  /// config().detector names anything but the built-in "enld". Must run
-  /// before Initialize; the instance's name() must equal
-  /// config().detector. Callers normally do not invoke this directly —
-  /// detect::ConfigurePlatformDetector resolves the configured key through
-  /// the detector registry and installs the result.
-  Status InstallDetector(std::unique_ptr<NoisyLabelDetector> detector);
-
   /// One-time initialization with the data-lake inventory. Fails on an
-  /// empty or inconsistent inventory, and (FailedPrecondition) when
-  /// config().detector names a non-"enld" detector that was never
-  /// installed. Must be called exactly once before Process.
+  /// empty or inconsistent inventory. Must be called exactly once before
+  /// Process.
   Status Initialize(const Dataset& inventory);
 
   /// Serves one detection request. Fails when the platform is not
@@ -181,18 +157,12 @@ class DataPlatform {
   /// True while a due auto-update is deferred awaiting enough clean
   /// samples (or a successful retry).
   bool update_pending() const { return update_pending_; }
-  /// Direct access to the underlying framework (valid after Initialize;
-  /// meaningful only when the built-in "enld" detector serves requests).
+  /// Direct access to the underlying framework (valid after Initialize).
   EnldFramework& framework() { return framework_; }
   /// Ops-level feature-cache invalidation (enld/feature_cache.h): drops
   /// the framework's cached candidate view / KNN index and bumps its model
   /// version. Safe at any time; never changes detection output.
   void InvalidateFeatureCache() { framework_.InvalidateFeatureCache(); }
-  /// The detector serving Process: the installed instance, or the built-in
-  /// framework when config().detector == "enld".
-  NoisyLabelDetector& active_detector() {
-    return detector_ != nullptr ? *detector_ : framework_;
-  }
 
   /// Writes a crash-safe snapshot of the complete platform state (model,
   /// I_t / I_c, P̃, S_c, stats, RNG position) into `dir` and advances the
@@ -238,10 +208,6 @@ class DataPlatform {
 
   DataPlatformConfig config_;
   EnldFramework framework_;
-  /// Non-null when a non-"enld" detector was installed; it then serves
-  /// every Process request in place of framework_. Model updates and
-  /// snapshots are framework-only and refused while it is active.
-  std::unique_ptr<NoisyLabelDetector> detector_;
   PlatformStats stats_;
   QuarantineLog quarantine_;
   std::vector<DeadlineRecord> deadline_audit_;

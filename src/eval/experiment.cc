@@ -4,6 +4,7 @@
 #include "common/stopwatch.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
+#include "detect/registry.h"
 
 namespace enld {
 
@@ -19,7 +20,8 @@ MethodRunResult RunDetector(NoisyLabelDetector* detector,
   ENLD_CHECK(detector != nullptr);
   MethodRunResult out;
   out.method = detector->name();
-  out.method_display = detector->display_name();
+  const detect::DetectorInfo* info = detect::FindDetector(out.method);
+  out.method_display = info != nullptr ? info->display_name : out.method;
   out.noise_rate = workload.config.noise_rate;
 
   // One telemetry scope per detector run: spans, counters and series
@@ -57,8 +59,6 @@ MethodRunResult RunDetector(NoisyLabelDetector* detector,
       if (keep_raw) out.raw_results.push_back(std::move(result));
     }
   }
-  out.phase_seconds = telemetry::TraceTree::Global().FlattenByName();
-
   out.telemetry = telemetry::CaptureRunReport();
   out.telemetry.method = out.method;
   out.telemetry.noise_rate = out.noise_rate;

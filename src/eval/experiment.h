@@ -2,12 +2,11 @@
 #define ENLD_EVAL_EXPERIMENT_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "baselines/detector.h"
 #include "common/telemetry/report.h"
 #include "data/workload.h"
+#include "enld/detector.h"
 #include "eval/metrics.h"
 
 namespace enld {
@@ -19,18 +18,14 @@ struct MethodRunResult {
   /// Canonical lowercase detector key (detector->name()); the value used
   /// in bench report columns and the telemetry method label.
   std::string method;
-  /// Human-readable detector name (detector->display_name()), for
-  /// figure-style headers.
+  /// Human-readable detector name (the detector table's display name;
+  /// `method` for a detector outside it), for figure-style headers.
   std::string method_display;
   double noise_rate = 0.0;
   double setup_seconds = 0.0;
   std::vector<double> process_seconds;     // Per incremental dataset.
   std::vector<DetectionMetrics> per_dataset;
   std::vector<DetectionResult> raw_results;  // Parallel to per_dataset.
-  /// Flat wall-clock view per span name (setup/*, detect/* ...), derived
-  /// from the telemetry span tree. Kept for callers that predate
-  /// `telemetry`; parent spans include their children's time.
-  std::vector<std::pair<std::string, double>> phase_seconds;
   /// Full telemetry capture of this run: hierarchical span tree, metrics
   /// registry, and quality section (detection P/R/F1 and the timing
   /// headline), serializable via telemetry::WriteRunReport.

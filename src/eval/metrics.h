@@ -3,8 +3,8 @@
 
 #include <vector>
 
-#include "baselines/detector.h"
 #include "data/dataset.h"
+#include "enld/detector.h"
 
 namespace enld {
 

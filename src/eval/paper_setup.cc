@@ -52,17 +52,10 @@ EnldConfig PaperEnldConfig(PaperDataset dataset) {
   return config;
 }
 
-TopofilterConfig PaperTopofilterConfig(PaperDataset dataset) {
-  TopofilterConfig config;
-  (void)dataset;  // One shared configuration across tasks.
-  return config;
-}
-
 detect::DetectorContext PaperDetectorContext(PaperDataset dataset) {
   detect::DetectorContext context;
   context.general = PaperGeneralConfig(dataset);
   context.enld = PaperEnldConfig(dataset);
-  context.topofilter = PaperTopofilterConfig(dataset);
   return context;
 }
 

@@ -1,8 +1,6 @@
 #ifndef ENLD_EVAL_PAPER_SETUP_H_
 #define ENLD_EVAL_PAPER_SETUP_H_
 
-#include "baselines/confident_learning.h"
-#include "baselines/topofilter.h"
 #include "data/workload.h"
 #include "detect/registry.h"
 #include "enld/config.h"
@@ -35,13 +33,11 @@ GeneralModelConfig PaperGeneralConfig(PaperDataset dataset);
 /// Tiny-ImageNet at full scale).
 EnldConfig PaperEnldConfig(PaperDataset dataset);
 
-/// Calibrated Topofilter configuration per task.
-TopofilterConfig PaperTopofilterConfig(PaperDataset dataset);
-
-/// The per-task base configurations bundled for the detector registry:
+/// The per-task base configurations bundled for the detector table:
 /// detect::CreateDetector(key, options, PaperDetectorContext(dataset))
-/// builds any registered detector calibrated the way the paper benches run
-/// it (a registry-driven MakeAllDetectors).
+/// builds any detector calibrated the way the paper benches run it. Only
+/// the general model and ENLD are calibrated per task; every other
+/// detector keeps its library defaults on all three.
 detect::DetectorContext PaperDetectorContext(PaperDataset dataset);
 
 }  // namespace enld

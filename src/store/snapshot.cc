@@ -653,11 +653,6 @@ StatusOr<std::function<Status()>> DataPlatform::BeginSnapshot(
     return Status::FailedPrecondition(
         "platform not initialized; nothing to snapshot");
   }
-  if (detector_ != nullptr) {
-    return Status::FailedPrecondition(
-        "snapshots capture the built-in 'enld' framework state; detector '" +
-        config_.detector + "' is not snapshottable");
-  }
   // The capture is synchronous, so the platform may process further
   // requests while the returned closure performs the durable write on
   // another thread. The model, P̃, S_c, RNG and stats are copied before
@@ -688,11 +683,6 @@ Status DataPlatform::SaveSnapshot(const std::string& dir) const {
 
 Status DataPlatform::RestoreFromSnapshot(const std::string& dir) {
   ENLD_TRACE_SPAN("store/restore_snapshot");
-  if (detector_ != nullptr) {
-    return Status::FailedPrecondition(
-        "snapshots restore the built-in 'enld' framework state; detector '" +
-        config_.detector + "' is not snapshottable");
-  }
   store::SnapshotStore snapshots(dir);
   StatusOr<store::SnapshotContents> loaded = snapshots.LoadLatest();
   if (!loaded.ok()) return loaded.status();

@@ -258,32 +258,6 @@ TEST_F(TelemetryTest, SpanOnThreadWithoutParentAttachesToRoot) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat by-name view (MethodRunResult::phase_seconds).
-
-TEST_F(TelemetryTest, PhaseTimingsFlattensByNameAcrossPaths) {
-  {
-    ENLD_TRACE_SPAN("detect");
-    {
-      ENLD_TRACE_SPAN("shared");
-    }
-    {
-      ENLD_TRACE_SPAN("detect/iteration");
-      ENLD_TRACE_SPAN("shared");
-    }
-  }
-  const auto flat = TraceTree::Global().FlattenByName();
-  std::vector<std::string> names;
-  for (const auto& [name, seconds] : flat) {
-    names.push_back(name);
-    EXPECT_GE(seconds, 0.0) << name;
-  }
-  // One entry per *name*, in first-seen pre-order, even though "shared"
-  // occurs at two tree paths.
-  EXPECT_EQ(names, (std::vector<std::string>{"detect", "shared",
-                                             "detect/iteration"}));
-}
-
-// ---------------------------------------------------------------------------
 // Run reports.
 
 TEST_F(TelemetryTest, JsonReportContainsAllSections) {

@@ -1,19 +1,47 @@
+#include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "baselines/co_teaching.h"
-#include "baselines/incv.h"
-#include "baselines/o2u.h"
-#include "baselines/related.h"
 #include "data/noise.h"
+#include "detect/registry.h"
+#include "detect/related.h"
 #include "eval/metrics.h"
 #include "test_util.h"
 
 namespace enld {
 namespace {
 
+using detect::DetectorContext;
 using testing_util::TinyWorkloadConfig;
+
+std::unique_ptr<NoisyLabelDetector> Create(const std::string& key,
+                                           const DetectorContext& context) {
+  auto detector = detect::CreateDetector(key, {}, context);
+  EXPECT_TRUE(detector.ok()) << detector.status().ToString();
+  return std::move(detector).value();
+}
+
+DetectorContext O2U(size_t cycles, size_t epochs_per_cycle) {
+  DetectorContext context;
+  context.o2u.cycles = cycles;
+  context.o2u.epochs_per_cycle = epochs_per_cycle;
+  return context;
+}
+
+DetectorContext CoTeaching(size_t epochs) {
+  DetectorContext context;
+  context.coteaching.epochs = epochs;
+  return context;
+}
+
+DetectorContext Incv(size_t epochs, size_t iterations = 2) {
+  DetectorContext context;
+  context.incv.train.epochs = epochs;
+  context.incv.iterations = iterations;
+  return context;
+}
 
 class ExtendedBaselinesTest : public ::testing::Test {
  protected:
@@ -65,93 +93,69 @@ TEST_F(ExtendedBaselinesTest, RelatedSubsetSkipsMissingLabels) {
 }
 
 TEST_F(ExtendedBaselinesTest, O2UProducesValidPartition) {
-  O2UConfig config;
-  config.cycles = 2;
-  config.epochs_per_cycle = 2;
-  O2UDetector detector(config);
-  detector.Setup(workload_->inventory);
+  auto detector = Create("o2u", O2U(2, 2));
+  detector->Setup(workload_->inventory);
   const Dataset& d = workload_->incremental[0];
-  const DetectionResult result = detector.Detect(d);
+  const DetectionResult result = detector->Detect(d);
   ExpectValidPartition(d, result);
-  EXPECT_EQ(detector.name(), "o2u");
-  EXPECT_EQ(detector.display_name(), "O2U-Net");
+  EXPECT_EQ(detector->name(), "o2u");
+  EXPECT_EQ(detect::FindDetector("o2u")->display_name, "O2U-Net");
 }
 
 TEST_F(ExtendedBaselinesTest, O2UDeterministicPerRequestIndex) {
-  O2UConfig config;
-  config.cycles = 1;
-  config.epochs_per_cycle = 2;
   auto run = [&] {
-    O2UDetector detector(config);
-    detector.Setup(workload_->inventory);
-    return detector.Detect(workload_->incremental[0]).noisy_indices;
+    auto detector = Create("o2u", O2U(1, 2));
+    detector->Setup(workload_->inventory);
+    return detector->Detect(workload_->incremental[0]).noisy_indices;
   };
   EXPECT_EQ(run(), run());
 }
 
 TEST_F(ExtendedBaselinesTest, CoTeachingProducesValidPartition) {
-  CoTeachingConfig config;
-  config.epochs = 4;
-  CoTeachingDetector detector(config);
-  detector.Setup(workload_->inventory);
+  auto detector = Create("coteaching", CoTeaching(4));
+  detector->Setup(workload_->inventory);
   const Dataset& d = workload_->incremental[0];
-  const DetectionResult result = detector.Detect(d);
+  const DetectionResult result = detector->Detect(d);
   ExpectValidPartition(d, result);
-  EXPECT_EQ(detector.name(), "coteaching");
-  EXPECT_EQ(detector.display_name(), "Co-teaching");
+  EXPECT_EQ(detector->name(), "coteaching");
+  EXPECT_EQ(detect::FindDetector("coteaching")->display_name, "Co-teaching");
 }
 
 TEST_F(ExtendedBaselinesTest, CoTeachingExplicitForgetRate) {
-  CoTeachingConfig config;
-  config.epochs = 4;
-  config.forget_rate = 0.2;  // Skip the self-estimate path.
-  CoTeachingDetector detector(config);
-  detector.Setup(workload_->inventory);
+  DetectorContext context = CoTeaching(4);
+  context.coteaching.forget_rate = 0.2;  // Skip the self-estimate path.
+  auto detector = Create("coteaching", context);
+  detector->Setup(workload_->inventory);
   ExpectValidPartition(workload_->incremental[0],
-                       detector.Detect(workload_->incremental[0]));
+                       detector->Detect(workload_->incremental[0]));
 }
 
 TEST_F(ExtendedBaselinesTest, IncvProducesValidPartition) {
-  IncvConfig config;
-  config.train.epochs = 3;
-  IncvDetector detector(config);
-  detector.Setup(workload_->inventory);
+  auto detector = Create("incv", Incv(3));
+  detector->Setup(workload_->inventory);
   const Dataset& d = workload_->incremental[0];
-  const DetectionResult result = detector.Detect(d);
+  const DetectionResult result = detector->Detect(d);
   ExpectValidPartition(d, result);
-  EXPECT_EQ(detector.name(), "incv");
-  EXPECT_EQ(detector.display_name(), "INCV");
+  EXPECT_EQ(detector->name(), "incv");
+  EXPECT_EQ(detect::FindDetector("incv")->display_name, "INCV");
 }
 
 TEST_F(ExtendedBaselinesTest, IncvHandlesTinyIncrementalDataset) {
   // Two labeled samples: still a valid partition (the related inventory
   // subset provides the cross-validation mass).
-  IncvConfig config;
-  config.train.epochs = 2;
-  config.iterations = 1;
-  IncvDetector detector(config);
-  detector.Setup(workload_->inventory);
+  auto detector = Create("incv", Incv(2, 1));
+  detector->Setup(workload_->inventory);
   const Dataset tiny = workload_->incremental[0].Subset({0, 1});
-  ExpectValidPartition(tiny, detector.Detect(tiny));
+  ExpectValidPartition(tiny, detector->Detect(tiny));
 }
 
 TEST_F(ExtendedBaselinesTest, AllHandleMissingLabels) {
   Dataset d = workload_->incremental[0];
   Rng rng(2);
   MaskMissingLabels(&d, 0.3, rng);
-  O2UConfig o2u_config;
-  o2u_config.cycles = 1;
-  o2u_config.epochs_per_cycle = 2;
-  O2UDetector o2u(o2u_config);
-  CoTeachingConfig ct_config;
-  ct_config.epochs = 3;
-  CoTeachingDetector ct(ct_config);
-  IncvConfig incv_config;
-  incv_config.train.epochs = 2;
-  incv_config.iterations = 1;
-  IncvDetector incv(incv_config);
-  for (NoisyLabelDetector* detector :
-       std::initializer_list<NoisyLabelDetector*>{&o2u, &ct, &incv}) {
+  for (const auto& detector : {Create("o2u", O2U(1, 2)),
+                               Create("coteaching", CoTeaching(3)),
+                               Create("incv", Incv(2, 1))}) {
     detector->Setup(workload_->inventory);
     ExpectValidPartition(d, detector->Detect(d));
   }
@@ -171,13 +175,12 @@ TEST_F(ExtendedBaselinesTest, PerRequestMethodsMissOutOfSubsetNoise) {
   config.stream.max_classes_per_dataset = 4;
   const Workload sparse = BuildWorkload(config);
 
-  IncvConfig incv_config;
-  incv_config.train.epochs = 3;
-  IncvDetector incv(incv_config);
-  incv.Setup(sparse.inventory);
+  auto incv = Create("incv", Incv(3));
+  incv->Setup(sparse.inventory);
   double incv_recall = 0.0;
   for (const Dataset& d : sparse.incremental) {
-    incv_recall += EvaluateDetection(d, incv.Detect(d).noisy_indices).recall;
+    incv_recall +=
+        EvaluateDetection(d, incv->Detect(d).noisy_indices).recall;
   }
   incv_recall /= sparse.incremental.size();
   EXPECT_LT(incv_recall, 0.6);

@@ -1,16 +1,19 @@
 #include "detect/registry.h"
 
 #include <algorithm>
+#include <cctype>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
 #include "data/workload.h"
-#include "detect/probe.h"
 #include "eval/metrics.h"
 #include "test_util.h"
 
@@ -20,42 +23,11 @@ namespace {
 using detect::CreateDetector;
 using detect::DetectorContext;
 using detect::DetectorInfo;
-using detect::DetectorOptions;
-using detect::DetectorRegistry;
 using detect::FindDetector;
 using detect::ListDetectors;
 using detect::OptionSpec;
-using detect::OptionType;
 using testing_util::TinyGeneralConfig;
 using testing_util::TinyWorkloadConfig;
-
-/// Minimal detector for registration-semantics tests: flags nothing.
-class FakeDetector : public NoisyLabelDetector {
- public:
-  explicit FakeDetector(std::string key) : key_(std::move(key)) {}
-  void Setup(const Dataset&) override {}
-  DetectionResult Detect(const Dataset& incremental) override {
-    DetectionResult result;
-    for (size_t i = 0; i < incremental.size(); ++i) {
-      if (incremental.observed_labels[i] != kMissingLabel) {
-        result.clean_indices.push_back(i);
-      }
-    }
-    return result;
-  }
-  std::string name() const override { return key_; }
-
- private:
-  std::string key_;
-};
-
-detect::DetectorFactory FakeFactory(const std::string& key) {
-  return [key](const DetectorContext&, const detect::ParsedOptions&)
-             -> StatusOr<std::unique_ptr<NoisyLabelDetector>> {
-    return std::unique_ptr<NoisyLabelDetector>(
-        std::make_unique<FakeDetector>(key));
-  };
-}
 
 DetectorContext TinyContext() {
   DetectorContext context;
@@ -96,62 +68,99 @@ TEST(RegistryListTest, FindReturnsInfoOrNull) {
   EXPECT_EQ(FindDetector("no-such-detector"), nullptr);
 }
 
-// Round trip: every registered detector constructs by name, and the
-// instance's canonical name / display name match its registration.
+// Round trip: every table key constructs by name, and the instance's
+// canonical name matches its key.
 TEST(RegistryRoundTripTest, EveryKeyCreatesItsDetector) {
   for (const DetectorInfo& info : ListDetectors()) {
     auto detector = CreateDetector(info.key, {}, TinyContext());
     ASSERT_TRUE(detector.ok())
         << info.key << ": " << detector.status().ToString();
     EXPECT_EQ((*detector)->name(), info.key);
-    EXPECT_EQ((*detector)->display_name(), info.display_name);
   }
 }
 
+/// Canonical keys are the values name() returns: lowercase alphanumerics
+/// with internal dashes ("enld-random").
+bool IsCanonicalKey(const std::string& key) {
+  if (key.empty() || key.front() == '-' || key.back() == '-') return false;
+  return std::all_of(key.begin(), key.end(), [](char c) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    return std::islower(u) || std::isdigit(u) || c == '-';
+  });
+}
+
+// The static table is the register of detectors. A row it must not hold
+// — a key twice, a non-canonical key, an option key twice in one row —
+// is rejected here, over the table itself.
 TEST(RegistryRegisterTest, DuplicateKeyRejected) {
-  detect::RegisterBuiltinDetectors();
-  DetectorRegistry& registry = DetectorRegistry::Global();
-  const std::string key = "zz-dup-probe";
-  ASSERT_TRUE(registry.Register({key, "Dup", "test", {}}, FakeFactory(key))
-                  .ok());
-  const Status again =
-      registry.Register({key, "Dup", "test", {}}, FakeFactory(key));
-  EXPECT_EQ(again.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(again.ToString().find(key), std::string::npos);
-  // Existing builtin keys are protected the same way.
-  EXPECT_EQ(registry.Register({"default", "Default", "test", {}},
-                              FakeFactory("default"))
-                .code(),
-            StatusCode::kInvalidArgument);
+  std::set<std::string> keys;
+  for (const DetectorInfo& info : ListDetectors()) {
+    EXPECT_TRUE(keys.insert(info.key).second)
+        << "'" << info.key << "' appears twice";
+  }
+  EXPECT_EQ(keys.count("default"), 1u);
 }
 
 TEST(RegistryRegisterTest, NonCanonicalKeysRejected) {
-  DetectorRegistry& registry = DetectorRegistry::Global();
   for (const std::string bad :
        {"", "UpperCase", "has space", "under_score", "-edge", "edge-",
         "sym!bol"}) {
-    EXPECT_EQ(registry.Register({bad, "Bad", "test", {}}, FakeFactory(bad))
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << "key '" << bad << "' should be rejected";
+    EXPECT_FALSE(IsCanonicalKey(bad)) << "key '" << bad
+                                      << "' should be rejected";
+  }
+  for (const DetectorInfo& info : ListDetectors()) {
+    EXPECT_TRUE(IsCanonicalKey(info.key)) << "'" << info.key << "'";
   }
 }
 
+// CreateDetector applies the first row of a duplicated option key, so a
+// second one would be silently dead.
 TEST(RegistryRegisterTest, DuplicateOptionKeyRejected) {
-  DetectorRegistry& registry = DetectorRegistry::Global();
-  const std::string key = "zz-dup-option";
-  const Status status = registry.Register(
-      {key,
-       "DupOpt",
-       "test",
-       {{"epochs", OptionType::kInt, "1", "first", {}},
-        {"epochs", OptionType::kInt, "2", "second", {}}}},
-      FakeFactory(key));
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  for (const DetectorInfo& info : ListDetectors()) {
+    std::set<std::string> option_keys;
+    for (const OptionSpec& option : info.options) {
+      EXPECT_TRUE(option_keys.insert(option.key).second)
+          << info.key << " declares '" << option.key << "' twice";
+    }
+  }
+}
+
+// The static table: keys sorted; each key's detector named by its key;
+// each listed default reads back as exactly its field in a default
+// DetectorContext, and is a value its option accepts.
+TEST(RegistryTableTest, EntriesAreSortedAndSelfConsistent) {
+  const std::vector<DetectorInfo> detectors = ListDetectors();
+  for (size_t i = 0; i < detectors.size(); ++i) {
+    const DetectorInfo& info = detectors[i];
+    if (i > 0) {
+      EXPECT_LT(detectors[i - 1].key, info.key);
+    }
+    auto detector = CreateDetector(info.key);
+    ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+    EXPECT_EQ((*detector)->name(), info.key);
+
+    for (const OptionSpec& option : info.options) {
+      DetectorContext defaults;
+      std::istringstream listed(option.default_value());
+      std::visit(
+          [&](auto get) {
+            std::decay_t<decltype(get(defaults))> value{};
+            listed >> std::boolalpha >> value;
+            EXPECT_FALSE(listed.fail()) << info.key << "." << option.key;
+            EXPECT_EQ(listed.peek(), std::char_traits<char>::eof());
+            EXPECT_EQ(value, get(defaults)) << info.key << "." << option.key;
+          },
+          option.field);
+      EXPECT_TRUE(
+          CreateDetector(info.key, {{option.key, option.default_value()}})
+              .ok())
+          << info.key << "." << option.key;
+    }
+  }
 }
 
 // The typed error matrix of Create: unknown detector, unknown option,
-// malformed value per type, allowed-set violation. Every error is
+// malformed value per type, out-of-range value. Every error is
 // kInvalidArgument and names the offender.
 TEST(RegistryErrorTest, UnknownDetector) {
   auto detector = CreateDetector("no-such-detector");
@@ -175,7 +184,7 @@ TEST(RegistryErrorTest, UnknownOptionKey) {
 }
 
 TEST(RegistryErrorTest, MalformedIntValue) {
-  for (const std::string bad : {"banana", "3.5", "-2", "12x", ""}) {
+  for (const std::string bad : {"banana", "3.5", "-2", "12x", "", "+2", " 2"}) {
     auto detector = CreateDetector("probe", {{"epochs", bad}});
     ASSERT_FALSE(detector.ok()) << "value '" << bad << "'";
     EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument);
@@ -198,25 +207,6 @@ TEST(RegistryErrorTest, MalformedBoolValue) {
   EXPECT_NE(detector.status().ToString().find("bool"), std::string::npos);
 }
 
-TEST(RegistryErrorTest, AllowedSetViolation) {
-  DetectorRegistry& registry = DetectorRegistry::Global();
-  const std::string key = "zz-enum-option";
-  ASSERT_TRUE(
-      registry
-          .Register({key,
-                     "EnumOpt",
-                     "test",
-                     {{"mode", OptionType::kString, "fast", "test mode",
-                       {"fast", "slow"}}}},
-                    FakeFactory(key))
-          .ok());
-  EXPECT_TRUE(registry.Create(key, {{"mode", "slow"}}).ok());
-  auto detector = registry.Create(key, {{"mode", "medium"}});
-  ASSERT_FALSE(detector.ok());
-  EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(detector.status().ToString().find("medium"), std::string::npos);
-}
-
 TEST(RegistryErrorTest, ValidValuesOfEveryTypeAccepted) {
   EXPECT_TRUE(CreateDetector("probe", {{"epochs", "2"},
                                        {"sweep_points", "8"},
@@ -230,6 +220,66 @@ TEST(RegistryErrorTest, ValidValuesOfEveryTypeAccepted) {
                              {{"mutual_knn", "false"},
                               {"component_keep_ratio", "0.9"}},
                              TinyContext())
+                  .ok());
+}
+
+/// The seven count options a detector divides or loops by: 0 passes the
+/// type check but would abort inside the detector, so the table bounds
+/// them at 1.
+void ExpectMinimumOne(const std::string& key, const std::string& option) {
+  auto detector = CreateDetector(key, {{option, "0"}});
+  ASSERT_FALSE(detector.ok());
+  EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(detector.status().ToString().find(
+                "option '" + option + "' of detector '" + key +
+                "' must be at least 1, got '0'"),
+            std::string::npos)
+      << detector.status().ToString();
+  EXPECT_TRUE(CreateDetector(key, {{option, "1"}}).ok());
+}
+
+TEST(RegistryBoundsTest, O2UCyclesAtLeastOne) {
+  ExpectMinimumOne("o2u", "cycles");
+}
+
+TEST(RegistryBoundsTest, O2UEpochsAtLeastOne) {
+  ExpectMinimumOne("o2u", "epochs");
+}
+
+TEST(RegistryBoundsTest, O2UBatchSizeAtLeastOne) {
+  ExpectMinimumOne("o2u", "batch_size");
+}
+
+TEST(RegistryBoundsTest, IncvIterationsAtLeastOne) {
+  ExpectMinimumOne("incv", "iterations");
+}
+
+TEST(RegistryBoundsTest, TopofilterGraphKAtLeastOne) {
+  ExpectMinimumOne("topofilter", "graph_k");
+}
+
+TEST(RegistryBoundsTest, EnldStepsAtLeastOne) {
+  ExpectMinimumOne("enld", "steps");
+}
+
+TEST(RegistryBoundsTest, EnldContrastiveKAtLeastOne) {
+  ExpectMinimumOne("enld", "contrastive_k");
+}
+
+// An int must fit its 64-bit field; clamping 99999999999999999999 to
+// 2^64-1 would ask for 2^64-1 epochs.
+TEST(RegistryBoundsTest, IntOverflowRejected) {
+  for (const std::string key : {"probe", "o2u"}) {
+    for (const std::string option : {"seed", "epochs"}) {
+      auto detector =
+          CreateDetector(key, {{option, "99999999999999999999"}});
+      ASSERT_FALSE(detector.ok()) << key << "." << option;
+      EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(detector.status().ToString().find("must be at most"),
+                std::string::npos);
+    }
+  }
+  EXPECT_TRUE(CreateDetector("probe", {{"seed", "18446744073709551615"}})
                   .ok());
 }
 
@@ -275,60 +325,42 @@ TEST_F(DetectQualityTest, LongRemixDetectsNoise) {
   EXPECT_GT(MeanF1("longremix"), 0.60);
 }
 
-/// Registry-created and directly-constructed detectors must produce
-/// identical verdicts — creation path and thread count never change
-/// results (the library-wide determinism contract).
+/// Every table detector gives identical verdicts at any pool thread count
+/// (the library-wide determinism contract).
 class RegistryDeterminismTest : public ::testing::Test {
  protected:
   void TearDown() override { SetParallelThreads(0); }
 
-  static std::vector<DetectionResult> RunStream(NoisyLabelDetector* detector,
+  static std::vector<DetectionResult> RunStream(const std::string& key,
                                                 const Workload& workload) {
-    detector->Setup(workload.inventory);
+    auto detector = CreateDetector(key, {}, TinyContext());
+    EXPECT_TRUE(detector.ok()) << detector.status().ToString();
+    (*detector)->Setup(workload.inventory);
     std::vector<DetectionResult> results;
     for (const Dataset& incremental : workload.incremental) {
-      results.push_back(detector->Detect(incremental));
+      results.push_back((*detector)->Detect(incremental));
     }
     return results;
-  }
-
-  static void ExpectSameVerdicts(const std::vector<DetectionResult>& a,
-                                 const std::vector<DetectionResult>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].noisy_indices, b[i].noisy_indices) << "request " << i;
-      EXPECT_EQ(a[i].clean_indices, b[i].clean_indices) << "request " << i;
-    }
   }
 };
 
 TEST_F(RegistryDeterminismTest, RegistryMatchesDirectAcrossThreadCounts) {
   const Workload workload = BuildWorkload(TinyWorkloadConfig(0.2));
-  for (const std::string key : {"probe", "pls"}) {
+  for (const DetectorInfo& info : ListDetectors()) {
     SetParallelThreads(1);
-    auto registry_made = CreateDetector(key, {}, TinyContext());
-    ASSERT_TRUE(registry_made.ok());
     const std::vector<DetectionResult> sequential =
-        RunStream(registry_made->get(), workload);
-
+        RunStream(info.key, workload);
     SetParallelThreads(4);
-    auto registry_made_parallel = CreateDetector(key, {}, TinyContext());
-    ASSERT_TRUE(registry_made_parallel.ok());
-    ExpectSameVerdicts(sequential,
-                       RunStream(registry_made_parallel->get(), workload));
+    const std::vector<DetectionResult> parallel =
+        RunStream(info.key, workload);
+    ASSERT_EQ(sequential.size(), parallel.size());
+    for (size_t i = 0; i < sequential.size(); ++i) {
+      EXPECT_EQ(sequential[i].noisy_indices, parallel[i].noisy_indices)
+          << info.key << " request " << i;
+      EXPECT_EQ(sequential[i].clean_indices, parallel[i].clean_indices)
+          << info.key << " request " << i;
+    }
   }
-}
-
-TEST_F(RegistryDeterminismTest, DirectConstructionMatchesRegistry) {
-  const Workload workload = BuildWorkload(TinyWorkloadConfig(0.2));
-  SetParallelThreads(1);
-  ProbeConfig config;
-  config.general = TinyGeneralConfig();
-  ProbeDetector direct(config);
-  auto via_registry = CreateDetector("probe", {}, TinyContext());
-  ASSERT_TRUE(via_registry.ok());
-  ExpectSameVerdicts(RunStream(&direct, workload),
-                     RunStream(via_registry->get(), workload));
 }
 
 }  // namespace

@@ -207,10 +207,17 @@ drill_serving() {
     ENLD_BENCH_SERVING_CONNS=1,4 "$bench/bench_serving" \
     --telemetry_out=serving.json > bench_serving.log
   check serving serving.json
+  # Bad input exits before a server starts; the timeout turns a server
+  # that starts anyway into a failure rather than a hang.
+  ENLD_BENCH_SERVING_REQS=abc expect 2 "$bench/bench_serving" \
+    > bad_reqs.log 2>&1
+  expect 0 timeout 10 "$bin/enld_server" --help > server_help.log
+  expect 2 timeout 10 "$bin/enld_server" --no_such_flag \
+    > server_bad_flag.log 2>&1
 }
 
-# docs/DETECTORS.md: a scoped matrix sweep, and the CLI's registry listing
-# and typed option errors.
+# docs/DETECTORS.md: a scoped matrix sweep, and the CLI's detector table
+# listing and typed option errors.
 drill_detectors() {
   ENLD_BENCH_TASKS=emnist ENLD_BENCH_NOISES=0.1,0.2 ENLD_BENCH_DATASETS=2 \
     "$bench/bench_detector_matrix" --detectors=default,probe \
@@ -221,6 +228,10 @@ drill_detectors() {
       longremix enld; do
     grep -q "^  $key " detectors.txt
   done
+  # Defaults are read from the config fields: one of each option type.
+  for default in epochs=16 mutual_knn=true seed_fraction=0.2; do
+    grep -q "^      $default " detectors.txt
+  done
   "$bin/enld_cli" --help > help.txt
   grep -q "registered detectors" help.txt
   expect 1 "$bin/enld_cli" detect --detector=no-such 2> unknown.err
@@ -228,6 +239,10 @@ drill_detectors() {
   expect 1 "$bin/enld_cli" detect --detector=probe \
     --detector_opt epochs=banana 2> option.err
   grep -q "InvalidArgument: option 'epochs' of detector 'probe'" option.err
+  # A count the detector loops by is refused, not left to abort the run.
+  expect 1 "$bin/enld_cli" detect --detector=o2u \
+    --detector_opt cycles=0 2> bound.err
+  grep -q "InvalidArgument: option 'cycles' of detector 'o2u'" bound.err
   "$bin/enld_cli" detect --dataset=emnist --noise=0.2 --datasets=2 \
     --detector=longremix --detector_opt iterations=1 > longremix.log
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/default_detector.h"
+#include "detect/registry.h"
 #include "eval/metrics.h"
 #include "nn/trainer.h"
 #include "test_util.h"
@@ -73,24 +73,27 @@ TEST_F(FrameworkTest, DetectReturnsValidPartition) {
 TEST_F(FrameworkTest, NameFollowsPolicy) {
   EnldConfig config = FastEnldConfig();
   EXPECT_EQ(EnldFramework(config).name(), "enld");
-  EXPECT_EQ(EnldFramework(config).display_name(), "ENLD");
+  EXPECT_EQ(detect::FindDetector("enld")->display_name, "ENLD");
   config.policy = SamplingPolicy::kPseudo;
   EXPECT_EQ(EnldFramework(config).name(), "enld-pseudo");
-  EXPECT_EQ(EnldFramework(config).display_name(), "Pseudo-ENLD");
+  EXPECT_EQ(detect::FindDetector("enld-pseudo")->display_name, "Pseudo-ENLD");
 }
 
 TEST_F(FrameworkTest, OutperformsDefaultBaseline) {
   EnldFramework enld(FastEnldConfig());
-  DefaultDetector baseline(TinyGeneralConfig());
+  detect::DetectorContext context;
+  context.general = TinyGeneralConfig();
+  auto baseline = detect::CreateDetector("default", {}, context);
+  ASSERT_TRUE(baseline.ok());
   enld.Setup(workload_->inventory);
-  baseline.Setup(workload_->inventory);
+  (*baseline)->Setup(workload_->inventory);
 
   double enld_f1 = 0.0;
   double default_f1 = 0.0;
   for (const Dataset& d : workload_->incremental) {
     enld_f1 += EvaluateDetection(d, enld.Detect(d).noisy_indices).f1;
     default_f1 +=
-        EvaluateDetection(d, baseline.Detect(d).noisy_indices).f1;
+        EvaluateDetection(d, (*baseline)->Detect(d).noisy_indices).f1;
   }
   EXPECT_GT(enld_f1, default_f1);
 }

@@ -50,6 +50,7 @@ TEST(RunDetectorTest, DrivesSetupThenEveryDataset) {
             static_cast<int>(workload.incremental.size()));
   EXPECT_EQ(detector.inventory_size_, workload.inventory.size());
   EXPECT_EQ(result.method, "Fake");
+  EXPECT_EQ(result.method_display, "Fake");  // Not a table key: its name.
   EXPECT_DOUBLE_EQ(result.noise_rate, 0.2);
 }
 

@@ -3,13 +3,12 @@
 // model-update loop and missing-label recovery, all in one place.
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "baselines/confident_learning.h"
-#include "baselines/default_detector.h"
-#include "baselines/topofilter.h"
 #include "data/noise.h"
+#include "detect/registry.h"
 #include "enld/framework.h"
 #include "eval/experiment.h"
 #include "nn/trainer.h"
@@ -29,17 +28,24 @@ EnldConfig FastEnldConfig() {
   return config;
 }
 
+/// A table detector with the tests' fast general model.
+std::unique_ptr<NoisyLabelDetector> Create(
+    const std::string& key, detect::DetectorContext context = {}) {
+  context.general = TinyGeneralConfig();
+  auto detector = detect::CreateDetector(key, {}, context);
+  EXPECT_TRUE(detector.ok()) << detector.status().ToString();
+  return std::move(detector).value();
+}
+
 TEST(IntegrationTest, AllDetectorsCompleteOnSameStream) {
   const Workload workload = BuildWorkload(TinyWorkloadConfig(0.2));
   std::vector<std::unique_ptr<NoisyLabelDetector>> detectors;
-  detectors.push_back(std::make_unique<DefaultDetector>(TinyGeneralConfig()));
-  detectors.push_back(std::make_unique<ConfidentLearningDetector>(
-      TinyGeneralConfig(), ClVariant::kPruneByClass));
-  detectors.push_back(std::make_unique<ConfidentLearningDetector>(
-      TinyGeneralConfig(), ClVariant::kPruneByNoiseRate));
-  TopofilterConfig topo;
-  topo.train.epochs = 5;
-  detectors.push_back(std::make_unique<TopofilterDetector>(topo));
+  detectors.push_back(Create("default"));
+  detectors.push_back(Create("cl1"));
+  detectors.push_back(Create("cl2"));
+  detect::DetectorContext topo;
+  topo.topofilter.train.epochs = 5;
+  detectors.push_back(Create("topofilter", topo));
   detectors.push_back(std::make_unique<EnldFramework>(FastEnldConfig()));
 
   for (auto& detector : detectors) {
@@ -53,20 +59,20 @@ TEST(IntegrationTest, AllDetectorsCompleteOnSameStream) {
 TEST(IntegrationTest, EnldBestOrNearBestAtModerateNoise) {
   const Workload workload = BuildWorkload(TinyWorkloadConfig(0.2));
   EnldFramework enld(FastEnldConfig());
-  DefaultDetector fallback(TinyGeneralConfig());
   const double enld_f1 = RunDetector(&enld, workload).average().f1;
-  const double default_f1 = RunDetector(&fallback, workload).average().f1;
+  const double default_f1 =
+      RunDetector(Create("default").get(), workload).average().f1;
   EXPECT_GT(enld_f1, default_f1);
 }
 
 TEST(IntegrationTest, EnldFasterThanTopofilterPerRequest) {
   const Workload workload = BuildWorkload(TinyWorkloadConfig(0.2));
   EnldFramework enld(FastEnldConfig());
-  TopofilterDetector topo((TopofilterConfig()));
   const double enld_time =
       RunDetector(&enld, workload).average_process_seconds();
   const double topo_time =
-      RunDetector(&topo, workload).average_process_seconds();
+      RunDetector(Create("topofilter").get(), workload)
+          .average_process_seconds();
   // The paper's efficiency claim: fine-tuning beats per-request training.
   EXPECT_LT(enld_time, topo_time);
 }

@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/confident_learning.h"
-#include "baselines/default_detector.h"
-#include "baselines/topofilter.h"
+#include "detect/registry.h"
 #include "enld/framework.h"
 #include "eval/metrics.h"
 #include "test_util.h"
@@ -112,20 +110,15 @@ TEST_F(RobustnessTest, BaselinesSurviveSingleClassRequests) {
   const int label = d0.ObservedLabelSet().front();
   const Dataset single = d0.Subset(d0.IndicesWithObservedLabel(label));
 
-  DefaultDetector fallback(TinyGeneralConfig());
-  fallback.Setup(workload_->inventory);
-  ExpectPartition(single, fallback.Detect(single));
-
-  ConfidentLearningDetector cl(TinyGeneralConfig(),
-                               ClVariant::kPruneByNoiseRate);
-  cl.Setup(workload_->inventory);
-  ExpectPartition(single, cl.Detect(single));
-
-  TopofilterConfig topo_config;
-  topo_config.train.epochs = 3;
-  TopofilterDetector topo(topo_config);
-  topo.Setup(workload_->inventory);
-  ExpectPartition(single, topo.Detect(single));
+  detect::DetectorContext context;
+  context.general = TinyGeneralConfig();
+  context.topofilter.train.epochs = 3;
+  for (const char* key : {"default", "cl2", "topofilter"}) {
+    auto detector = detect::CreateDetector(key, {}, context);
+    ASSERT_TRUE(detector.ok()) << key;
+    (*detector)->Setup(workload_->inventory);
+    ExpectPartition(single, (*detector)->Detect(single));
+  }
 }
 
 TEST_F(RobustnessTest, RepeatDetectionsAreIndependent) {
