@@ -20,6 +20,7 @@
 
 #include "bench_util.h"
 #include "common/parallel.h"
+#include "common/table.h"
 
 namespace {
 
@@ -179,7 +180,8 @@ int main(int argc, char** argv) {
     for (double noise : NoiseRates()) {
       const Workload workload = MakeWorkload(dataset, noise);
       for (const std::string& key : detector_keys) {
-        auto detector = MakePaperDetector(key, dataset);
+        auto detector =
+            MakePaperDetector(key, PaperDetectorContext(dataset));
         const MethodRunResult run = RunDetector(detector.get(), workload);
 
         MatrixCell cell;

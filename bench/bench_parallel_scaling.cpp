@@ -34,6 +34,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "common/table.h"
 #include "common/telemetry/metrics.h"
 #include "data/synthetic.h"
 #include "enld/framework.h"

@@ -10,7 +10,7 @@
 // ENLD_BENCH_ROWS (comma-separated row counts, default "2000,20000")
 // overrides the sweep for quick CI runs. Pass --telemetry_out=report.json
 // (or set ENLD_TELEMETRY) to dump the store span tree and `store/*`
-// counters as a machine-readable run report, like bench_fig08_time.
+// counters as a machine-readable run report, like bench_paper.
 
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +22,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
+#include "common/table.h"
 #include "common/telemetry/report.h"
 #include "data/noise.h"
 #include "data/serialization.h"

@@ -1,16 +1,15 @@
 #ifndef ENLD_BENCH_BENCH_UTIL_H_
 #define ENLD_BENCH_BENCH_UTIL_H_
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/table.h"
 #include "detect/registry.h"
 #include "enld/framework.h"
 #include "eval/experiment.h"
@@ -65,25 +64,20 @@ inline std::vector<double> NoiseRates() {
 /// The paper's three tasks. ENLD_BENCH_TASKS (comma-separated subset of
 /// "emnist,cifar100,tiny") restricts them, e.g. for the CI telemetry run.
 inline std::vector<PaperDataset> PaperTasks() {
-  const std::vector<std::pair<std::string, PaperDataset>> known = {
+  const std::map<std::string, PaperDataset> known = {
       {"emnist", PaperDataset::kEmnist},
       {"cifar100", PaperDataset::kCifar100},
       {"tiny", PaperDataset::kTinyImagenet}};
   const char* env = std::getenv("ENLD_BENCH_TASKS");
-  if (env == nullptr || *env == '\0') {
-    return {PaperDataset::kEmnist, PaperDataset::kCifar100,
-            PaperDataset::kTinyImagenet};
-  }
+  const bool set = env != nullptr && *env != '\0';
   std::vector<PaperDataset> tasks;
-  for (const std::string& name : SplitBenchEnv(env)) {
-    const auto match =
-        std::find_if(known.begin(), known.end(),
-                     [&](const auto& entry) { return entry.first == name; });
-    if (match == known.end()) {
+  for (const std::string& name :
+       SplitBenchEnv(set ? env : "emnist,cifar100,tiny")) {
+    if (known.count(name) == 0) {
       RejectBenchEnv("ENLD_BENCH_TASKS", env,
                      "a comma-separated subset of emnist,cifar100,tiny");
     }
-    tasks.push_back(match->second);
+    tasks.push_back(known.at(name));
   }
   return tasks;
 }
@@ -127,41 +121,14 @@ inline Workload MakeWorkload(PaperDataset dataset, double noise_rate) {
   return BuildWorkload(config);
 }
 
-/// Creates one registry detector under the task-calibrated context; the
-/// keys come from detect::ListDetectors or the lists below. A benchmark
-/// asking for an unregistered key is a programming error — aborts.
+/// Creates one registry detector under `context` (PaperDetectorContext
+/// for a task's calibrated setup). A benchmark asking for an unregistered
+/// key is a programming error — aborts.
 inline std::unique_ptr<NoisyLabelDetector> MakePaperDetector(
-    const std::string& key, PaperDataset dataset,
-    const detect::DetectorOptions& options = {}) {
-  auto detector =
-      detect::CreateDetector(key, options, PaperDetectorContext(dataset));
+    const std::string& key, const detect::DetectorContext& context) {
+  auto detector = detect::CreateDetector(key, {}, context);
   ENLD_CHECK(detector.ok());
   return std::move(detector.value());
-}
-
-/// All five detection methods of Section V-A4, configured for `dataset`
-/// (registry-created; same configs the paper figures use).
-inline std::vector<std::unique_ptr<NoisyLabelDetector>> MakeAllDetectors(
-    PaperDataset dataset) {
-  std::vector<std::unique_ptr<NoisyLabelDetector>> detectors;
-  for (const char* key : {"default", "cl1", "cl2", "topofilter", "enld"}) {
-    detectors.push_back(MakePaperDetector(key, dataset));
-  }
-  return detectors;
-}
-
-/// Standard "methods x noise rates" quality table (Figs. 4, 5, 7 layout).
-inline void PrintMethodQualityTable(
-    const std::string& title,
-    const std::vector<MethodRunResult>& runs) {
-  TablePrinter table({"noise", "method", "precision", "recall", "f1"});
-  for (const MethodRunResult& run : runs) {
-    const DetectionMetrics avg = run.average();
-    table.AddRow({TablePrinter::Num(run.noise_rate, 1), run.method,
-                  TablePrinter::Num(avg.precision),
-                  TablePrinter::Num(avg.recall), TablePrinter::Num(avg.f1)});
-  }
-  table.Print(title);
 }
 
 }  // namespace bench

@@ -57,8 +57,6 @@
 //                                 can assert faults actually fired
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <future>
 #include <string>
 #include <vector>
@@ -72,59 +70,30 @@
 #include "eval/metrics.h"
 #include "eval/paper_setup.h"
 #include "eval/reporting.h"
+#include "flags.h"
 #include "nn/serialization.h"
 #include "nn/trainer.h"
 #include "store/quarantine.h"
 #include "store/scrub.h"
 #include "store/snapshot.h"
 
-namespace {
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return !FlagValue(argc, argv, name, "").empty();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace enld;
-  const double noise_rate =
-      argc > 1 && std::strncmp(argv[1], "--", 2) != 0 ? std::atof(argv[1])
-                                                      : 0.2;
-  const std::string snapshot_dir =
-      FlagValue(argc, argv, "snapshot_dir", "");
-  const size_t kill_after = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "kill_after", "0").c_str()));
-  const size_t num_datasets = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "datasets", "12").c_str()));
+  const double noise_rate = flags::LeadingRate(argc, argv, "noise_rate", 0.2);
+  const std::string snapshot_dir = flags::Value(argc, argv, "snapshot_dir");
+  const size_t kill_after = flags::Integer(argc, argv, "kill_after", 0, 0);
+  const size_t num_datasets = flags::Integer(argc, argv, "datasets", 12);
   const std::string quarantine_out =
-      FlagValue(argc, argv, "quarantine_out", "");
-  const bool use_async = HasFlag(argc, argv, "async");
-  const size_t batch_size = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "batch_size", "4").c_str()));
+      flags::Value(argc, argv, "quarantine_out");
+  const bool use_async = flags::Has(argc, argv, "async");
+  const size_t batch_size = flags::Integer(argc, argv, "batch_size", 4);
   const double request_deadline =
-      std::atof(FlagValue(argc, argv, "request_deadline", "0").c_str());
+      flags::Seconds(argc, argv, "request_deadline", 0.0);
   const double queue_wait_budget =
-      std::atof(FlagValue(argc, argv, "queue_wait_budget", "0").c_str());
-  const size_t snapshot_keep = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "snapshot_keep", "0").c_str()));
-  const size_t scrub_every = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "scrub_every", "0").c_str()));
+      flags::Seconds(argc, argv, "queue_wait_budget", 0.0);
+  const size_t snapshot_keep =
+      flags::Integer(argc, argv, "snapshot_keep", 0, 0);
+  const size_t scrub_every = flags::Integer(argc, argv, "scrub_every", 0, 0);
   if (use_async && kill_after > 0) {
     std::fprintf(stderr,
                  "--kill_after is sequential-only (the async pipeline has "

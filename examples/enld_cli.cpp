@@ -112,6 +112,7 @@
 #include "eval/paper_setup.h"
 #include "eval/reporting.h"
 #include "enld/admission.h"
+#include "flags.h"
 #include "rpc/client.h"
 #include "store/io.h"
 #include "store/json.h"
@@ -125,27 +126,6 @@
 namespace {
 
 using namespace enld;
-
-/// Returns the value of `--name=` in argv, or `fallback`.
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-/// True when the bare flag `--name` is present.
-bool HasFlag(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 /// Collects every `--detector_opt k=v` / `--detector_opt=k=v` pair.
 /// Returns false (with a message on stderr) on a malformed flag; the
@@ -245,53 +225,43 @@ DataPlatformConfig MakePlatformConfig(int argc, char** argv,
                                       PaperDataset dataset) {
   DataPlatformConfig config;
   config.enld = PaperEnldConfig(dataset);
-  const std::string strict = FlagValue(argc, argv, "strict_admission", "0");
+  const std::string strict = flags::Value(argc, argv, "strict_admission", "0");
   config.admission.strict = strict == "1" || strict == "true";
   // Serving knobs: also excluded from the fingerprint (they change how
   // requests are scheduled and how many snapshots are retained, never what
   // detection computes).
   config.request_deadline_seconds =
-      std::atof(FlagValue(argc, argv, "request_deadline", "0").c_str());
-  config.snapshot_keep_last = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "snapshot_keep", "0").c_str()));
+      flags::Seconds(argc, argv, "request_deadline", 0.0);
+  config.snapshot_keep_last =
+      flags::Integer(argc, argv, "snapshot_keep", 0, 0);
   return config;
 }
 
 /// Honors --max_retries by resizing the store-wide IO retry policy. Call
 /// before any store traffic.
-bool ApplyRetryFlag(int argc, char** argv) {
-  const std::string flag = FlagValue(argc, argv, "max_retries", "");
-  if (flag.empty()) return true;
-  const int attempts = std::atoi(flag.c_str());
-  if (attempts < 1) {
-    std::fprintf(stderr, "--max_retries must be >= 1\n");
-    return false;
-  }
-  store::DefaultIoRetryPolicy().max_attempts =
-      static_cast<size_t>(attempts);
-  return true;
+void ApplyRetryFlag(int argc, char** argv) {
+  store::DefaultIoRetryPolicy().max_attempts = flags::Integer(
+      argc, argv, "max_retries", store::DefaultIoRetryPolicy().max_attempts);
 }
 
 /// `enld_cli ingest`: materialize the inventory as a sharded binary
 /// dataset and prove the round trip by loading it back.
 int RunIngest(int argc, char** argv) {
-  const std::string out_dir = FlagValue(argc, argv, "out", "");
+  const std::string out_dir = flags::Value(argc, argv, "out");
   if (out_dir.empty()) {
     std::fprintf(stderr, "ingest requires --out=<dir>\n");
     return 1;
   }
-  if (!ApplyRetryFlag(argc, argv)) return 1;
+  ApplyRetryFlag(argc, argv);
   PaperDataset dataset = PaperDataset::kCifar100;
-  if (!ParseDataset(FlagValue(argc, argv, "dataset", "cifar100"), &dataset)) {
+  if (!ParseDataset(flags::Value(argc, argv, "dataset", "cifar100"),
+                    &dataset)) {
     std::fprintf(stderr, "unknown --dataset\n");
     return 1;
   }
-  const double noise =
-      std::atof(FlagValue(argc, argv, "noise", "0.2").c_str());
-  const size_t rows_per_shard = static_cast<size_t>(std::atoi(
-      FlagValue(argc, argv, "rows_per_shard",
-                std::to_string(store::kDefaultRowsPerShard))
-          .c_str()));
+  const double noise = flags::Rate(argc, argv, "noise", 0.2);
+  const size_t rows_per_shard = flags::Integer(
+      argc, argv, "rows_per_shard", store::kDefaultRowsPerShard);
 
   const Workload workload =
       BuildWorkload(PaperWorkloadConfig(dataset, noise));
@@ -333,19 +303,20 @@ int RunIngest(int argc, char** argv) {
 /// `enld_cli snapshot`: stand a platform up on a previously ingested
 /// inventory and write the first snapshot.
 int RunSnapshot(int argc, char** argv) {
-  const std::string inventory_dir = FlagValue(argc, argv, "inventory", "");
-  const std::string snapshot_dir = FlagValue(argc, argv, "snapshot_dir", "");
+  const std::string inventory_dir = flags::Value(argc, argv, "inventory");
+  const std::string snapshot_dir = flags::Value(argc, argv, "snapshot_dir");
   if (inventory_dir.empty() || snapshot_dir.empty()) {
     std::fprintf(stderr,
                  "snapshot requires --inventory=<dir> --snapshot_dir=<dir>\n");
     return 1;
   }
   PaperDataset dataset = PaperDataset::kCifar100;
-  if (!ParseDataset(FlagValue(argc, argv, "dataset", "cifar100"), &dataset)) {
+  if (!ParseDataset(flags::Value(argc, argv, "dataset", "cifar100"),
+                    &dataset)) {
     std::fprintf(stderr, "unknown --dataset\n");
     return 1;
   }
-  if (!ApplyRetryFlag(argc, argv)) return 1;
+  ApplyRetryFlag(argc, argv);
 
   const StatusOr<Dataset> inventory =
       store::LoadDatasetSharded(inventory_dir);
@@ -379,26 +350,23 @@ int RunSnapshot(int argc, char** argv) {
 /// `enld_cli resume`: restore from the latest snapshot and serve the
 /// remaining requests of the task's stream.
 int RunResume(int argc, char** argv) {
-  const std::string snapshot_dir = FlagValue(argc, argv, "snapshot_dir", "");
+  const std::string snapshot_dir = flags::Value(argc, argv, "snapshot_dir");
   if (snapshot_dir.empty()) {
     std::fprintf(stderr, "resume requires --snapshot_dir=<dir>\n");
     return 1;
   }
   PaperDataset dataset = PaperDataset::kCifar100;
-  if (!ParseDataset(FlagValue(argc, argv, "dataset", "cifar100"), &dataset)) {
+  if (!ParseDataset(flags::Value(argc, argv, "dataset", "cifar100"),
+                    &dataset)) {
     std::fprintf(stderr, "unknown --dataset\n");
     return 1;
   }
-  const double noise =
-      std::atof(FlagValue(argc, argv, "noise", "0.2").c_str());
-  if (!ApplyRetryFlag(argc, argv)) return 1;
+  const double noise = flags::Rate(argc, argv, "noise", 0.2);
+  ApplyRetryFlag(argc, argv);
 
   WorkloadConfig workload_config = PaperWorkloadConfig(dataset, noise);
-  const std::string datasets_flag = FlagValue(argc, argv, "datasets", "");
-  if (!datasets_flag.empty()) {
-    workload_config.stream.num_datasets =
-        static_cast<size_t>(std::atoi(datasets_flag.c_str()));
-  }
+  workload_config.stream.num_datasets = flags::Integer(
+      argc, argv, "datasets", workload_config.stream.num_datasets);
   const Workload workload = BuildWorkload(workload_config);
 
   DataPlatform platform(MakePlatformConfig(argc, argv, dataset));
@@ -442,17 +410,17 @@ int RunResume(int argc, char** argv) {
 /// when every sample is admitted, 2 when any is quarantined, 1 on a hard
 /// error (unreadable input, structural corruption).
 int RunValidate(int argc, char** argv) {
-  const std::string input = FlagValue(argc, argv, "input", "");
-  const std::string inventory_dir = FlagValue(argc, argv, "inventory", "");
+  const std::string input = flags::Value(argc, argv, "input");
+  const std::string inventory_dir = flags::Value(argc, argv, "inventory");
   const std::string quarantine_out =
-      FlagValue(argc, argv, "quarantine_out", "");
+      flags::Value(argc, argv, "quarantine_out");
   if (input.empty() == inventory_dir.empty()) {
     std::fprintf(stderr,
                  "validate requires exactly one of --input=<path.csv> or "
                  "--inventory=<dir>\n");
     return 1;
   }
-  if (!ApplyRetryFlag(argc, argv)) return 1;
+  ApplyRetryFlag(argc, argv);
 
   Dataset dataset;
   std::string source;
@@ -518,19 +486,19 @@ int RunValidate(int argc, char** argv) {
 /// CURRENT points at (docs/ROBUSTNESS.md §"Self-healing runbook"). Exit
 /// code 0 = clean or repaired, 4 = damage remains, 1 = hard error.
 int RunRepair(int argc, char** argv) {
-  std::string snapshot_dir = FlagValue(argc, argv, "snapshot_dir", "");
+  std::string snapshot_dir = flags::Value(argc, argv, "snapshot_dir");
   if (argc > 2 && argv[2][0] != '-') snapshot_dir = argv[2];
   if (snapshot_dir.empty()) {
     std::fprintf(stderr,
                  "repair requires <snapshot_dir> (or --snapshot_dir=)\n");
     return 1;
   }
-  if (!ApplyRetryFlag(argc, argv)) return 1;
+  ApplyRetryFlag(argc, argv);
 
   store::RepairOptions options;
-  options.source_dir = FlagValue(argc, argv, "source", "");
-  options.dry_run = HasFlag(argc, argv, "dry_run");
-  options.allow_rollback = HasFlag(argc, argv, "allow_rollback");
+  options.source_dir = flags::Value(argc, argv, "source");
+  options.dry_run = flags::Has(argc, argv, "dry_run");
+  options.allow_rollback = flags::Has(argc, argv, "allow_rollback");
 
   const StatusOr<store::RepairReport> repaired =
       store::RepairSnapshotStore(snapshot_dir, options);
@@ -541,7 +509,7 @@ int RunRepair(int argc, char** argv) {
   }
   const store::RepairReport& report = repaired.value();
 
-  const std::string scrub_out = FlagValue(argc, argv, "scrub_out", "");
+  const std::string scrub_out = flags::Value(argc, argv, "scrub_out");
   if (!scrub_out.empty()) {
     const Status written = store::WriteScrubReportJson(report.scrub, scrub_out);
     if (!written.ok()) {
@@ -551,7 +519,7 @@ int RunRepair(int argc, char** argv) {
     }
     std::printf("scrub report -> %s\n", scrub_out.c_str());
   }
-  const std::string repair_out = FlagValue(argc, argv, "repair_out", "");
+  const std::string repair_out = flags::Value(argc, argv, "repair_out");
   if (!repair_out.empty()) {
     const Status written = store::WriteRepairReportJson(report, repair_out);
     if (!written.ok()) {
@@ -609,22 +577,22 @@ int RunRepair(int argc, char** argv) {
 /// source data and re-admit the survivors. Exit code 0 = every record
 /// readmitted, 2 = some still rejected or missing, 1 = hard error.
 int RunReplay(int argc, char** argv) {
-  std::string quarantine_path = FlagValue(argc, argv, "quarantine", "");
+  std::string quarantine_path = flags::Value(argc, argv, "quarantine");
   if (argc > 2 && argv[2][0] != '-') quarantine_path = argv[2];
   if (quarantine_path.empty()) {
     std::fprintf(stderr,
                  "replay requires <quarantine.json> (or --quarantine=)\n");
     return 1;
   }
-  const std::string input = FlagValue(argc, argv, "input", "");
-  const std::string inventory_dir = FlagValue(argc, argv, "inventory", "");
+  const std::string input = flags::Value(argc, argv, "input");
+  const std::string inventory_dir = flags::Value(argc, argv, "inventory");
   if (input.empty() == inventory_dir.empty()) {
     std::fprintf(stderr,
                  "replay requires exactly one of --input=<path.csv> or "
                  "--inventory=<dir> as the corrected source data\n");
     return 1;
   }
-  if (!ApplyRetryFlag(argc, argv)) return 1;
+  ApplyRetryFlag(argc, argv);
 
   const StatusOr<store::QuarantineFile> log =
       store::ReadQuarantineJson(quarantine_path);
@@ -669,11 +637,11 @@ int RunReplay(int argc, char** argv) {
 
   // With a snapshot directory, readmitted rows go through a real Process
   // request on the restored platform and the result is snapshotted.
-  const std::string snapshot_dir = FlagValue(argc, argv, "snapshot_dir", "");
+  const std::string snapshot_dir = flags::Value(argc, argv, "snapshot_dir");
   std::unique_ptr<DataPlatform> platform;
   if (!snapshot_dir.empty()) {
     PaperDataset dataset = PaperDataset::kCifar100;
-    if (!ParseDataset(FlagValue(argc, argv, "dataset", "cifar100"),
+    if (!ParseDataset(flags::Value(argc, argv, "dataset", "cifar100"),
                       &dataset)) {
       std::fprintf(stderr, "unknown --dataset\n");
       return 1;
@@ -688,8 +656,7 @@ int RunReplay(int argc, char** argv) {
     }
   }
 
-  const uint64_t request_id = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "request_id", "0").c_str()));
+  const uint64_t request_id = flags::Integer(argc, argv, "request_id", 0, 0);
   const StatusOr<store::ReplayReport> replayed = store::ReplayQuarantine(
       log.value(), source, platform.get(), request_id);
   if (!replayed.ok()) {
@@ -734,7 +701,7 @@ int RunReplay(int argc, char** argv) {
     std::printf("snapshot updated in %s\n", snapshot_dir.c_str());
   }
 
-  const std::string replay_out = FlagValue(argc, argv, "replay_out", "");
+  const std::string replay_out = flags::Value(argc, argv, "replay_out");
   if (!replay_out.empty()) {
     const Status written = store::WriteReplayReportJson(report, replay_out);
     if (!written.ok()) {
@@ -777,26 +744,19 @@ int RunStats(int argc, char** argv) {
   }
   const std::string target = argv[2];
   const size_t colon = target.rfind(':');
-  const int port =
-      colon == std::string::npos ? 0 : std::atoi(target.c_str() + colon + 1);
-  if (colon == std::string::npos || port <= 0) {
-    std::fprintf(stderr, "bad stats target '%s' (expected host:port)\n",
-                 target.c_str());
-    return 1;
+  uint64_t port = 0;
+  if (colon == std::string::npos ||
+      !flags::ParseInteger(target.substr(colon + 1), 1, 65535, &port)) {
+    flags::Reject("stats target", target, "host:port, a port in [1, 65535]");
   }
-  const double watch_seconds =
-      std::atof(FlagValue(argc, argv, "watch", "0").c_str());
-  const size_t retries = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "retries", "8").c_str()));
-  bool send_shutdown = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shutdown") == 0) send_shutdown = true;
-  }
+  const double watch_seconds = flags::Seconds(argc, argv, "watch", 0.0);
+  const size_t retries = flags::Integer(argc, argv, "retries", 8);
+  const bool send_shutdown = flags::Has(argc, argv, "shutdown");
 
   rpc::ClientConfig client_config;
   client_config.host = target.substr(0, colon);
-  client_config.port = port;
-  client_config.retry.max_attempts = retries < 1 ? 1 : retries;
+  client_config.port = static_cast<int>(port);
+  client_config.retry.max_attempts = retries;
   rpc::RpcClient client(client_config);
 
   while (true) {
@@ -851,21 +811,18 @@ int RunStats(int argc, char** argv) {
 /// detector over a task's stream and report per-dataset and aggregate
 /// quality.
 int RunDetect(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--list_detectors") == 0) {
-      PrintDetectorList(stdout);
-      return 0;
-    }
+  if (flags::Has(argc, argv, "list_detectors")) {
+    PrintDetectorList(stdout);
+    return 0;
   }
 
   const std::string dataset_name =
-      FlagValue(argc, argv, "dataset", "cifar100");
-  const double noise =
-      std::atof(FlagValue(argc, argv, "noise", "0.2").c_str());
+      flags::Value(argc, argv, "dataset", "cifar100");
+  const double noise = flags::Rate(argc, argv, "noise", 0.2);
   // --detector= is the registry spelling; --method= the legacy one.
-  const std::string method = FlagValue(
-      argc, argv, "detector", FlagValue(argc, argv, "method", "enld"));
-  const std::string export_path = FlagValue(argc, argv, "export", "");
+  const std::string method = flags::Value(
+      argc, argv, "detector", flags::Value(argc, argv, "method", "enld"));
+  const std::string export_path = flags::Value(argc, argv, "export");
   detect::DetectorOptions detector_options;
   if (!CollectDetectorOptions(argc, argv, &detector_options)) return 1;
 
@@ -878,17 +835,9 @@ int RunDetect(int argc, char** argv) {
     std::fprintf(stderr, "unknown --dataset=%s\n", dataset_name.c_str());
     return 1;
   }
-  if (noise < 0.0 || noise >= 1.0) {
-    std::fprintf(stderr, "--noise must be in [0, 1)\n");
-    return 1;
-  }
-
   WorkloadConfig workload_config = PaperWorkloadConfig(dataset, noise);
-  const std::string datasets_flag = FlagValue(argc, argv, "datasets", "");
-  if (!datasets_flag.empty()) {
-    workload_config.stream.num_datasets =
-        static_cast<size_t>(std::atoi(datasets_flag.c_str()));
-  }
+  workload_config.stream.num_datasets = flags::Integer(
+      argc, argv, "datasets", workload_config.stream.num_datasets);
   const Workload workload = BuildWorkload(workload_config);
 
   if (!export_path.empty()) {

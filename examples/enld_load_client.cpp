@@ -25,66 +25,33 @@
 //   --shutdown           send a shutdown frame after the stream so the
 //                        server drains and exits
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "data/workload.h"
 #include "eval/metrics.h"
+#include "flags.h"
 #include "rpc/client.h"
-
-namespace {
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace enld;
-  const double noise_rate =
-      argc > 1 && std::strncmp(argv[1], "--", 2) != 0 ? std::atof(argv[1])
-                                                      : 0.2;
-  const int port = std::atoi(FlagValue(argc, argv, "port", "0").c_str());
-  if (port <= 0) {
+  const double noise_rate = flags::LeadingRate(argc, argv, "noise_rate", 0.2);
+  const int port = flags::Port(argc, argv, "port", 0);
+  if (port == 0) {
     std::fprintf(stderr, "--port=<server port> is required\n");
     return 2;
   }
-  const std::string host = FlagValue(argc, argv, "host", "127.0.0.1");
-  const size_t num_datasets = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "datasets", "12").c_str()));
-  const size_t num_connections = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::atoi(FlagValue(argc, argv, "connections", "1").c_str())));
-  const double deadline =
-      std::atof(FlagValue(argc, argv, "deadline", "0").c_str());
-  const size_t retries = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::atoi(FlagValue(argc, argv, "retries", "8").c_str())));
-  const bool send_shutdown = HasFlag(argc, argv, "shutdown");
+  const std::string host = flags::Value(argc, argv, "host", "127.0.0.1");
+  const size_t num_datasets = flags::Integer(argc, argv, "datasets", 12);
+  const size_t num_connections = flags::Integer(argc, argv, "connections", 1);
+  const double deadline = flags::Seconds(argc, argv, "deadline", 0.0);
+  const size_t retries = flags::Integer(argc, argv, "retries", 8);
+  const bool send_shutdown = flags::Has(argc, argv, "shutdown");
 
   WorkloadConfig workload_config = Cifar100WorkloadConfig(noise_rate);
-  workload_config.stream.num_datasets = num_datasets == 0 ? 12 : num_datasets;
+  workload_config.stream.num_datasets = num_datasets;
   const Workload workload = BuildWorkload(workload_config);
 
   rpc::ClientConfig client_config;

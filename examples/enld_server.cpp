@@ -40,7 +40,6 @@
 // --telemetry_out=report.json for the machine-readable serving report.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -50,6 +49,7 @@
 #include "data/workload.h"
 #include "enld/platform.h"
 #include "eval/paper_setup.h"
+#include "flags.h"
 #include "rpc/server.h"
 
 namespace {
@@ -74,26 +74,13 @@ bool KnownArgument(int i, const char* arg) {
   return false;
 }
 
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace enld;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
+  if (flags::Has(argc, argv, "help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
   }
   for (int i = 1; i < argc; ++i) {
     if (!KnownArgument(i, argv[i])) {
@@ -102,23 +89,18 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const double noise_rate =
-      argc > 1 && std::strncmp(argv[1], "--", 2) != 0 ? std::atof(argv[1])
-                                                      : 0.2;
-  const int port =
-      std::atoi(FlagValue(argc, argv, "port", "0").c_str());
-  const size_t num_datasets = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "datasets", "12").c_str()));
+  const double noise_rate = flags::LeadingRate(argc, argv, "noise_rate", 0.2);
+  const int port = flags::Port(argc, argv, "port", 0);
+  const size_t num_datasets = flags::Integer(argc, argv, "datasets", 12);
   const double request_deadline =
-      std::atof(FlagValue(argc, argv, "request_deadline", "0").c_str());
+      flags::Seconds(argc, argv, "request_deadline", 0.0);
   const double queue_wait_budget =
-      std::atof(FlagValue(argc, argv, "queue_wait_budget", "0").c_str());
-  const size_t batch_size = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "batch_size", "4").c_str()));
-  const size_t max_connections = static_cast<size_t>(
-      std::atoi(FlagValue(argc, argv, "max_connections", "64").c_str()));
-  const double slow_request_seconds = std::atof(
-      FlagValue(argc, argv, "slow_request_seconds", "0").c_str());
+      flags::Seconds(argc, argv, "queue_wait_budget", 0.0);
+  const size_t batch_size = flags::Integer(argc, argv, "batch_size", 4);
+  const size_t max_connections =
+      flags::Integer(argc, argv, "max_connections", 64);
+  const double slow_request_seconds =
+      flags::Seconds(argc, argv, "slow_request_seconds", 0.0);
 
   telemetry::ResetTelemetry();
 
@@ -126,7 +108,7 @@ int main(int argc, char** argv) {
   // it bit-for-bit from (noise_rate, datasets) and streams the incremental
   // half over the wire.
   WorkloadConfig workload_config = Cifar100WorkloadConfig(noise_rate);
-  workload_config.stream.num_datasets = num_datasets == 0 ? 12 : num_datasets;
+  workload_config.stream.num_datasets = num_datasets;
   const Workload workload = BuildWorkload(workload_config);
   std::printf("data lake: %zu inventory samples, %d classes, noise %.2f\n",
               workload.inventory.size(), workload.inventory.num_classes,

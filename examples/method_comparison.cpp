@@ -5,7 +5,6 @@
 //   ./build/examples/method_comparison [noise_rate]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
 #include "common/table.h"
@@ -13,10 +12,11 @@
 #include "detect/registry.h"
 #include "eval/experiment.h"
 #include "eval/paper_setup.h"
+#include "flags.h"
 
 int main(int argc, char** argv) {
   using namespace enld;
-  const double noise_rate = argc > 1 ? std::atof(argv[1]) : 0.2;
+  const double noise_rate = flags::LeadingRate(argc, argv, "noise_rate", 0.2);
 
   WorkloadConfig workload_config = Cifar100WorkloadConfig(noise_rate);
   workload_config.stream.num_datasets = 8;

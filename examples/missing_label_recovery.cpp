@@ -6,17 +6,18 @@
 //   ./build/examples/missing_label_recovery [missing_rate]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "data/noise.h"
 #include "data/workload.h"
 #include "enld/framework.h"
 #include "eval/metrics.h"
 #include "eval/paper_setup.h"
+#include "flags.h"
 
 int main(int argc, char** argv) {
   using namespace enld;
-  const double missing_rate = argc > 1 ? std::atof(argv[1]) : 0.5;
+  const double missing_rate =
+      flags::LeadingRate(argc, argv, "missing_rate", 0.5);
 
   WorkloadConfig workload_config = Cifar100WorkloadConfig(0.2);
   workload_config.stream.num_datasets = 6;

@@ -12,7 +12,6 @@
 // report of the run.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/stopwatch.h"
@@ -21,27 +20,12 @@
 #include "enld/platform.h"
 #include "eval/metrics.h"
 #include "eval/reporting.h"
+#include "flags.h"
 #include "store/snapshot.h"
-
-namespace {
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace enld;
-  const std::string snapshot_dir =
-      FlagValue(argc, argv, "snapshot_dir", "");
+  const std::string snapshot_dir = flags::Value(argc, argv, "snapshot_dir");
 
   // A small CIFAR100-like task: 40 classes, pair-asymmetric noise at 20%.
   WorkloadConfig workload_config;

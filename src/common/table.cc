@@ -53,20 +53,6 @@ std::string TablePrinter::ToString(const std::string& title) const {
   return out.str();
 }
 
-std::string TablePrinter::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 void TablePrinter::Print(const std::string& title) const {
   std::fputs(ToString(title).c_str(), stdout);
   std::fflush(stdout);

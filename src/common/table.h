@@ -23,9 +23,6 @@ class TablePrinter {
   /// Renders the table with a title line, header rule and aligned columns.
   std::string ToString(const std::string& title = "") const;
 
-  /// Renders as comma-separated values (header row first).
-  std::string ToCsv() const;
-
   /// Prints ToString(title) to stdout.
   void Print(const std::string& title = "") const;
 

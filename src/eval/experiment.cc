@@ -16,7 +16,7 @@ double MethodRunResult::average_process_seconds() const {
 }
 
 MethodRunResult RunDetector(NoisyLabelDetector* detector,
-                            const Workload& workload, bool keep_raw) {
+                            const Workload& workload) {
   ENLD_CHECK(detector != nullptr);
   MethodRunResult out;
   out.method = detector->name();
@@ -46,6 +46,7 @@ MethodRunResult RunDetector(NoisyLabelDetector* detector,
     telemetry::Series* recall_series = registry.GetSeries("eval/recall");
     out.process_seconds.reserve(workload.incremental.size());
     out.per_dataset.reserve(workload.incremental.size());
+    out.raw_results.reserve(workload.incremental.size());
     for (const Dataset& incremental : workload.incremental) {
       Stopwatch process_timer;
       DetectionResult result = detector->Detect(incremental);
@@ -56,7 +57,7 @@ MethodRunResult RunDetector(NoisyLabelDetector* detector,
       f1_series->Append(m.f1);
       precision_series->Append(m.precision);
       recall_series->Append(m.recall);
-      if (keep_raw) out.raw_results.push_back(std::move(result));
+      out.raw_results.push_back(std::move(result));
     }
   }
   out.telemetry = telemetry::CaptureRunReport();

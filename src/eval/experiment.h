@@ -38,12 +38,10 @@ struct MethodRunResult {
 };
 
 /// Runs `detector` through Setup(inventory) and Detect() over every
-/// incremental dataset of the workload, timing both phases and scoring
-/// detections against ground truth. `keep_raw` retains each
-/// DetectionResult (needed by trajectory figures; off by default to save
-/// memory).
+/// incremental dataset of the workload, timing both phases, scoring
+/// detections against ground truth and keeping each DetectionResult.
 MethodRunResult RunDetector(NoisyLabelDetector* detector,
-                            const Workload& workload, bool keep_raw = false);
+                            const Workload& workload);
 
 }  // namespace enld
 

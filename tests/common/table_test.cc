@@ -29,12 +29,6 @@ TEST(TablePrinterTest, ColumnsAligned) {
   EXPECT_EQ(one, two);
 }
 
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter table({"a", "b"});
-  table.AddRow({"1", "2"});
-  EXPECT_EQ(table.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(TablePrinterTest, NumFormatting) {
   EXPECT_EQ(TablePrinter::Num(0.91913, 4), "0.9191");
   EXPECT_EQ(TablePrinter::Num(3.0, 1), "3.0");

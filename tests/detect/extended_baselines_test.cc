@@ -162,8 +162,8 @@ TEST_F(ExtendedBaselinesTest, AllHandleMissingLabels) {
 }
 
 TEST_F(ExtendedBaselinesTest, PerRequestMethodsMissOutOfSubsetNoise) {
-  // The structural finding this library documents (see
-  // bench_extended_baselines): per-request training methods cannot catch
+  // The structural finding this library documents (see bench_paper's
+  // ext row): per-request training methods cannot catch
   // pair noise whose source class is outside label(D). Build a workload
   // with many classes but few classes per arriving dataset so the pair
   // source is almost always absent; INCV's recall must collapse there.

@@ -245,17 +245,40 @@ drill_detectors() {
   grep -q "InvalidArgument: option 'cycles' of detector 'o2u'" bound.err
   "$bin/enld_cli" detect --dataset=emnist --noise=0.2 --datasets=2 \
     --detector=longremix --detector_opt iterations=1 > longremix.log
+  # A count or rate the examples cannot parse exits 2 before any work.
+  expect 2 "$bin/enld_cli" detect --dataset=emnist --datasets=abc \
+    2> bad_count.err
+  grep -q -- '--datasets="abc" is not valid: expected an integer >= 1' \
+    bad_count.err
+  expect 2 "$bin/enld_cli" detect --dataset=emnist --datasets=0 2> zero.err
+  expect 2 "$bin/enld_cli" detect --dataset=emnist --noise=abc --datasets=1 \
+    2> bad_noise.err
+  expect 2 "$bin/data_platform_stream" abc --datasets=1 > bad_rate.log 2>&1
 }
 
 drill_bench() {
   # Exits non-zero when detector partitions differ across thread counts
   # or with the feature cache on and off.
   "$bench/bench_parallel_scaling" > parallel_scaling.log
-  ENLD_BENCH_DATASETS=4 "$bench/bench_fig04_emnist_methods" > fig04.log
+  # bench_paper writes CLAIMS.json where it runs. Every row on two-dataset
+  # streams; a scoped run records its verdicts and exits 0.
+  local scope="ENLD_BENCH_NOISES=0.2 ENLD_BENCH_DATASETS=2"
+  mkdir sweep t1 t4
+  (cd sweep && env ENLD_THREADS=1 $scope "$bench/bench_paper" > paper.log)
+  check claims sweep/CLAIMS.json
+  # A detector cell (fig06), ENLD variant cells (fig14) and a row's own
+  # function (fig03) write the same bytes at one and four pool threads.
+  for t in 1 4; do
+    (cd t$t && env ENLD_THREADS=$t $scope "$bench/bench_paper" fig03 fig06 \
+      fig14 > paper.log)
+  done
+  cmp t1/CLAIMS.json t4/CLAIMS.json
   ENLD_BENCH_TASKS=emnist ENLD_BENCH_NOISES=0.2 ENLD_BENCH_DATASETS=2 \
-    "$bench/bench_fig08_time" --telemetry_out=telemetry.json > fig08.log
+    "$bench/bench_paper" fig08 --telemetry_out=telemetry.json > fig08.log
   check telemetry telemetry.json
-  ENLD_BENCH_TASKS=tiny-imagenet expect 2 "$bench/bench_fig08_time" \
+  expect 2 "$bench/bench_paper" fig99 > bad_row.log 2>&1
+  grep -q "unknown row 'fig99'; the rows are: fig03" bad_row.log
+  ENLD_BENCH_TASKS=tiny-imagenet expect 2 "$bench/bench_paper" \
     > bad_task.log 2>&1
 }
 

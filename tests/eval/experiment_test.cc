@@ -77,16 +77,17 @@ TEST(RunDetectorTest, ComputesPerDatasetMetrics) {
   EXPECT_NEAR(avg.recall, 0.5, 0.3);
 }
 
-TEST(RunDetectorTest, KeepRawRetainsResults) {
+TEST(RunDetectorTest, RetainsRawResults) {
   const Workload workload = BuildWorkload(TinyWorkloadConfig(0.2));
   FakeDetector detector;
-  const MethodRunResult with_raw =
-      RunDetector(&detector, workload, /*keep_raw=*/true);
-  EXPECT_EQ(with_raw.raw_results.size(), workload.incremental.size());
-  FakeDetector detector2;
-  const MethodRunResult without =
-      RunDetector(&detector2, workload, /*keep_raw=*/false);
-  EXPECT_TRUE(without.raw_results.empty());
+  const MethodRunResult run = RunDetector(&detector, workload);
+  ASSERT_EQ(run.raw_results.size(), workload.incremental.size());
+  for (size_t d = 0; d < run.raw_results.size(); ++d) {
+    EXPECT_EQ(EvaluateDetection(workload.incremental[d],
+                                run.raw_results[d].noisy_indices)
+                  .f1,
+              run.per_dataset[d].f1);
+  }
 }
 
 TEST(RunDetectorTest, AverageProcessSecondsEmptySafe) {

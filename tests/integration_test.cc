@@ -102,8 +102,8 @@ TEST(IntegrationTest, ContinuousOperationWithModelUpdate) {
 }
 
 TEST(IntegrationTest, ModelUpdateTrainsOnCleanSelection) {
-  // Table II's full-scale improvement is reproduced by
-  // bench_table2_model_update; at this test's tiny scale (3 datasets over
+  // Table II's full-scale improvement is reproduced by bench_paper's
+  // table2 row; at this test's tiny scale (3 datasets over
   // a few classes) the selected set is too small to beat the original, so
   // assert that the update trains a *functional* model far above chance.
   const Workload workload = BuildWorkload(TinyWorkloadConfig(0.2));

@@ -420,6 +420,73 @@ def check_matrix(doc, opts, path):
         fail(f"{len(cells)} cells for {len(combinations)} combinations")
 
 
+# The paper's claims (bench/bench_paper.cpp, docs/BENCHMARKS.md): each
+# cell once with its metrics in [0, 1]; on the paper's sweep, every row
+# present and every asserted claim passing.
+PAPER_ROWS = ("fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
+              "fig10", "fig11", "fig12", "fig13a", "fig13b", "fig14",
+              "table2", "ext")
+# The columns of a row's own numbers that are fractions; every other
+# column (losses, counts, rates, iterations) is a non-negative number.
+FRACTIONS = {"precision", "recall", "f1", "f1_std", "pseudo_label_f1",
+             "detection_f1", "origin_model_acc", "updated_model_acc",
+             "selected_purity"}
+
+
+def unique(where, keys):
+    for key in {key for key in keys if keys.count(key) > 1}:
+        fail(f"{where} {key} appears {keys.count(key)} times")
+
+
+@kind("claims", ("expect-paper-sweep",), {
+    "schema": {"enld-claims-v1"}, "paper_sweep": "bool", "rows": "items",
+    "cells": [{"method": "str", "task": "str", "backbone": "str",
+               "noise": "fraction", "datasets": "positive",
+               "precision": "fraction", "recall": "fraction",
+               "f1": "fraction"}],
+    "values": "object",
+    "claims": [{"id": "str", "row": "str", "claim": "str",
+                "mark": {"asserted", "recorded"},
+                "verdict": {"pass", "fail"}}]})
+def check_claims(doc, opts, path):
+    rows, claims = doc["rows"], doc["claims"]
+    for row in set(rows) - set(PAPER_ROWS):
+        fail(f"rows: unknown row {row!r}")
+    unique("row", rows)
+    unique("cell", [tuple(cell[key] for key in
+                          ("method", "task", "backbone", "noise"))
+                    for cell in doc["cells"]])
+    unique("claim", [claim["id"] for claim in claims])
+    for claim in claims:
+        if claim["row"] not in rows:
+            fail(f"claim {claim['id']} belongs to row {claim['row']!r}, "
+                 "which did not run")
+    for row, table in doc["values"].items():
+        if row not in rows:
+            fail(f"values.{row}: the row did not run")
+        columns = table.get("columns") if isinstance(table, dict) else None
+        if not isinstance(columns, list) or not all(
+                isinstance(column, str) for column in columns):
+            fail(f"values.{row}.columns is not an array of names")
+            continue
+        for i, values in enumerate(table.get("rows") or [None]):
+            if not isinstance(values, list) or len(values) != len(columns):
+                fail(f"values.{row}.rows[{i}] is not {len(columns)} numbers")
+                continue
+            typed(dict(zip(columns, values)),
+                  {column: "fraction" if column in FRACTIONS else "number"
+                   for column in columns}, f"values.{row}.rows[{i}].")
+    if opts.get("expect-paper-sweep") and not doc["paper_sweep"]:
+        fail("paper_sweep is false: not a full-length run of every row")
+    if not doc["paper_sweep"]:
+        return
+    for row in sorted(set(PAPER_ROWS) - set(rows)):
+        fail(f"the paper's sweep lacks row {row}")
+    for claim in claims:
+        if claim["mark"] == "asserted" and claim["verdict"] != "pass":
+            fail(f"asserted claim {claim['id']} fails: {claim['claim']}")
+
+
 # Hot-path gates (docs/BENCHMARKS.md, "Tracked hot-path numbers"): the
 # fast row against the slow row. Time metrics divide slow by fast,
 # throughput divides fast by slow. A skip is (field of the fast row, the
