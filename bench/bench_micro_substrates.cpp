@@ -147,9 +147,12 @@ void InputGradShapes(benchmark::internal::Benchmark* b) {
   b->Args({64, 64, 128})->Args({64, 100, 64});
 }
 
-/// The naive triple loop in the kernels' bit-contract order. Its inner
-/// loop is a sequential fp32 sum, which the compiler cannot vectorize, so
-/// this is the scalar baseline the kernel rows divide by.
+/// The naive triple loop, a separate fp32 multiply and add per term. Its
+/// inner loop is a sequential fp32 sum, which the compiler cannot
+/// vectorize, so this is the scalar baseline the kernel rows divide by.
+/// It is not the kernels' fused contract on purpose: built for baseline
+/// x86-64, std::fma is a libm call per term, a slower baseline that would
+/// ease drill.hotpath's 2x gate.
 void BM_MatMulScalar(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(state.range(1));

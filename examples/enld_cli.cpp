@@ -1,12 +1,11 @@
 // Command-line driver: run any registered detector on any of the paper's
 // synthetic tasks and print per-dataset and aggregate results, optionally
 // exporting the workload to CSV. `enld_cli --help` enumerates the
-// detector registry at runtime.
+// detector registry at runtime. From the build directory:
 //
-//   ./build/examples/enld_cli detect --dataset=cifar100 --detector=enld
-//   ./build/examples/enld_cli detect --detector=probe --detector_opt \
-//       sweep_points=64
-//   ./build/examples/enld_cli detect --list_detectors
+//   examples/enld_cli detect --dataset=cifar100 --detector=enld
+//   examples/enld_cli detect --detector=probe --detector_opt sweep_points=64
+//   examples/enld_cli detect --list_detectors
 //
 // Detection flags (`detect` subcommand, or flag-only invocation with the
 // legacy --method= spelling):

@@ -24,7 +24,9 @@ const KernelIsa* FindBackend(const char* name) {
 
 bool Available(KernelIsa isa) {
 #ifdef ENLD_KERNEL_X86
-  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  // The AVX2 GEMM tiles are FMA code (common/gemm.h).
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0 &&
+                    __builtin_cpu_supports("fma") != 0;
   switch (isa) {
     case KernelIsa::kGeneric:
       return true;

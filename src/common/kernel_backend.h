@@ -21,6 +21,7 @@ enum class KernelIsa { kGeneric, kAvx2, kAvx512 };
 /// Backend the kernels dispatch to. The first call detects it: the
 /// ENLD_KERNEL env var's backend ("generic", "avx2" or "avx512") when this
 /// CPU has it, else the widest the CPU supports (AVX-512, AVX2, generic).
+/// avx2 also needs FMA, for its GEMM tiles; avx512 needs all avx2 does.
 KernelIsa ActiveKernelIsa();
 
 /// Name of the active backend: "generic", "avx2" or "avx512".

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/gemm.h"
 #include "common/kernel_backend.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -30,13 +31,33 @@ Matrix RandomMatrix(size_t rows, size_t cols, Rng& rng) {
 
 /// Reference O(n^3) multiply: the bit contract of the production kernels
 /// (common/gemm.h) — each element summed from +0 over k in index order,
-/// one fp32 multiply and one add per term.
+/// one fused multiply-add (a single rounding) per term.
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   for (size_t i = 0; i < a.rows(); ++i) {
     for (size_t j = 0; j < b.cols(); ++j) {
       float sum = 0.0f;
-      for (size_t k = 0; k < a.cols(); ++k) sum += a(i, k) * b(k, j);
+      for (size_t k = 0; k < a.cols(); ++k) {
+        sum = std::fma(a(i, k), b(k, j), sum);
+      }
+      out(i, j) = sum;
+    }
+  }
+  return out;
+}
+
+/// The same loop with a separate multiply and add per term, rounded twice:
+/// the contract before FMA, which the probe operands must tell apart.
+Matrix UnfusedMatMul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float sum = 0.0f;
+      for (size_t k = 0; k < a.cols(); ++k) {
+        // Exact in double, so the cast is the one fp32 rounding of the
+        // product, and no compiler can contract it into the add.
+        sum += static_cast<float>(double{a(i, k)} * b(k, j));
+      }
       out(i, j) = sum;
     }
   }
@@ -257,12 +278,13 @@ TEST(MatMulTest, IdentityIsNeutral) {
 
 /// Every backend of every product equals the naive loop bit for bit, at 1
 /// and 4 threads, over shapes that leave a tail in every dimension: rows
-/// around the 4-row tile, columns around the 8-, 16- and 32-lane vectors.
+/// around the 4-row register tile and the 8-row block, columns around the
+/// 8-, 16- and 32-lane vectors.
 TEST(MatMulTest, AllBackendsMatchNaiveBitwise) {
   Rng rng(8);
   std::vector<std::pair<Matrix, Matrix>> operands;
   std::vector<Matrix> want;
-  for (size_t m : {1u, 3u, 4u, 5u, 63u, 64u, 65u}) {
+  for (size_t m : {1u, 3u, 4u, 5u, 8u, 9u, 13u, 63u, 64u, 65u}) {
     for (size_t n : {1u, 7u, 8u, 9u, 16u, 17u, 24u, 33u, 100u, 128u}) {
       for (size_t k : {1u, 32u, 64u, 128u}) {
         operands.emplace_back(RandomMatrix(m, k, rng), RandomMatrix(k, n, rng));
@@ -283,10 +305,84 @@ TEST(MatMulTest, AllBackendsMatchNaiveBitwise) {
   });
 }
 
-/// Large products split into chunks of whole 4-row register tiles: the
+/// Operands on which the fused contract and mul+add differ in every
+/// element of a * b. The last two terms are -1 * 1 and (1 + s u)(1 + t u),
+/// with u = 2^-12, s = 2i + 1 and t = 2j + 1; every earlier term is an
+/// exact 0 * 0, so k is long enough for the 4-thread runs to split. The
+/// exact product 1 + (s + t) u + s t 2^-24 lies halfway between two
+/// floats, so mul+add is off from the exact -1 + product by 2^-24, while
+/// the fused sum rounds that (exactly representable) value once and keeps
+/// it.
+std::pair<Matrix, Matrix> FmaProbe(size_t m, size_t k, size_t n) {
+  const float u = std::ldexp(1.0f, -12);
+  Matrix a(m, k), b(k, n);
+  for (size_t i = 0; i < m; ++i) {
+    a(i, k - 2) = -1.0f;
+    a(i, k - 1) = 1.0f + static_cast<float>(2 * i + 1) * u;
+  }
+  for (size_t j = 0; j < n; ++j) {
+    b(k - 2, j) = 1.0f;
+    b(k - 1, j) = 1.0f + static_cast<float>(2 * j + 1) * u;
+  }
+  return {a, b};
+}
+
+/// True when no element of `x` has the bits of the same element of `y`.
+bool AllBitsDiffer(const Matrix& x, const Matrix& y) {
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (std::memcmp(&x.data()[i], &y.data()[i], sizeof(float)) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// No path is left on a separate multiply and add: on FmaProbe operands,
+/// every product equals the fused reference, with `accumulate` too, on
+/// every backend at 1 and 4 threads, over full and short row tiles and
+/// full and masked column vectors. The probe checks itself first: the
+/// mul+add result must differ from the reference in every element.
+TEST(MatMulTest, EveryPathFusesEachTerm) {
+  constexpr size_t k = 64;
+  for (size_t m : {size_t{1}, size_t{3}, kGemmTileRows, kGemmTileRows + 5,
+                   2 * kGemmTileRows + 3}) {
+    for (size_t n : {1u, 7u, 8u, 13u, 16u, 21u, 32u, 39u, 48u, 53u}) {
+      const auto [a, b] = FmaProbe(m, k, n);
+      const Matrix want = NaiveMatMul(a, b);
+      ASSERT_TRUE(AllBitsDiffer(want, UnfusedMatMul(a, b)))
+          << "m=" << m << " n=" << n;
+      // Added to sums under 0.2, these keep every total below 1, where
+      // the 2^-24 difference stays exact.
+      Matrix base(m, n);
+      for (size_t i = 0; i < base.size(); ++i) {
+        base.data()[i] = std::ldexp(static_cast<float>(i % 32), -6);
+      }
+      Matrix want_accumulated = base;
+      want_accumulated.Add(want);
+      Matrix unfused_accumulated = base;
+      unfused_accumulated.Add(UnfusedMatMul(a, b));
+      ASSERT_TRUE(AllBitsDiffer(want_accumulated, unfused_accumulated));
+      ForEachBackendAndThreads([&](const std::string& where) {
+        const std::string shape =
+            " " + where + " m=" + std::to_string(m) + " n=" +
+            std::to_string(n);
+        for (Product product : kProducts) {
+          EXPECT_TRUE(BitEqual(Multiply(product, a, b), want))
+              << ProductName(product) << shape;
+        }
+        Matrix got = base;
+        MatMulAt(a.Transposed(), b, &got, /*accumulate=*/true);
+        EXPECT_TRUE(BitEqual(got, want_accumulated))
+            << "MatMulAt accumulate" << shape;
+      });
+    }
+  }
+}
+
+/// Large products split into chunks of whole register tiles: the
 /// 64 x 128 x 64 forward product of the fine-tune MLP runs as at most
-/// 64 / 4 = 16 chunks at any thread count, and still equals the naive
-/// loop bit for bit.
+/// 64 / kGemmTileRows chunks at any thread count, and still equals the
+/// naive loop bit for bit.
 TEST(MatMulTest, ParallelChunksAreWholeTiles) {
   Rng rng(11);
   const Matrix a = RandomMatrix(64, 128, rng);
@@ -298,7 +394,7 @@ TEST(MatMulTest, ParallelChunksAreWholeTiles) {
     const uint64_t before = chunks->Value();
     Matrix out;
     MatMul(a, b, &out);
-    EXPECT_LE(chunks->Value() - before, 16u) << where;
+    EXPECT_LE(chunks->Value() - before, 64 / kGemmTileRows) << where;
     EXPECT_TRUE(BitEqual(out, want)) << where;
   });
 }
