@@ -439,16 +439,15 @@ void ProcessTime(View& v) {
   table.Print("Fig. 8 — setup and process time per incremental dataset");
   speedups.Print("Fig. 8 headline — ENLD process-time speedup vs Topofilter");
   phases.Print("ENLD span tree (per workload, current threads)");
-  // FeatureCache traffic of the last ENLD cell (the same counters land in
+  // Candidate-view traffic of the last ENLD cell: a miss is a Detect that
+  // forwarded I_c, a hit one that found θ's view (the same counters land in
   // the --telemetry_out report and the serving /stats endpoint).
   const auto& counters = v.sweep.last_enld->metrics.counters;
   const auto count = [&](const char* name) -> unsigned long long {
     return counters.count(name) ? counters.at(name) : 0;
   };
-  std::printf(
-      "feature cache: view %llu hits / %llu misses, %llu invalidations\n",
-      count("cache/view_hits"), count("cache/view_misses"),
-      count("cache/invalidations"));
+  std::printf("candidate view: %llu hits / %llu misses\n",
+              count("cache/view_hits"), count("cache/view_misses"));
 }
 
 // Fig. 9: precision / recall / f1 of the detected noisy set after each

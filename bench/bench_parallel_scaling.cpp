@@ -15,9 +15,8 @@
 // count (docs/BENCHMARKS.md):
 //   distance_kernel — batched SoA squared-distance kernel vs the scalar
 //                     per-point loop (common/distance.h);
-//   detect_stream   — a multi-request detection stream with the
-//                     FeatureCache on vs off at 1 and 4 threads, asserting
-//                     byte-identical partitions.
+//   detect_stream   — a multi-request detection stream at 1 and 4
+//                     threads, asserting byte-identical partitions.
 //
 // Speedups depend on the host: on a single-core container every row is
 // ~1.0x. ENLD_THREADS is ignored here (thread counts are swept in-process).
@@ -185,25 +184,22 @@ double PrintDistanceKernelTable() {
 struct StreamRun {
   double seconds = 0.0;
   uint64_t trees_built = 0;
-  uint64_t view_hits = 0;
   std::vector<std::vector<size_t>> clean;
   std::vector<std::vector<size_t>> noisy;
 };
 
-/// A short multi-request detection stream against one framework, with the
-/// FeatureCache forced on or off. The stream runs two passes over the
-/// incremental datasets — the second pass replays each request, the
-/// pattern the store's quarantine-replay ops produce. Counts the KD-trees
-/// built during the Detect calls via the exact knn/trees_built counter.
-StreamRun TimeDetectStream(bool use_cache) {
+/// A short multi-request detection stream against one framework. The
+/// stream runs two passes over the incremental datasets — the second pass
+/// replays each request, the pattern the store's quarantine-replay ops
+/// produce. Counts the KD-trees built during the Detect calls via the
+/// exact knn/trees_built counter.
+StreamRun TimeDetectStream() {
   WorkloadConfig config =
       PaperWorkloadConfig(PaperDataset::kEmnist, /*noise_rate=*/0.2);
   config.stream.num_datasets = 3;
   const Workload workload = BuildWorkload(config);
 
-  EnldConfig enld_config = PaperEnldConfig(PaperDataset::kEmnist);
-  enld_config.use_feature_cache = use_cache;
-  EnldFramework enld(enld_config);
+  EnldFramework enld(PaperEnldConfig(PaperDataset::kEmnist));
   enld.Setup(workload.inventory);
 
   auto* trees_built =
@@ -220,7 +216,6 @@ StreamRun TimeDetectStream(bool use_cache) {
   }
   run.seconds = watch.ElapsedSeconds();
   run.trees_built = trees_built->Value() - before;
-  run.view_hits = enld.feature_cache().stats().view_hits;
   return run;
 }
 
@@ -277,38 +272,25 @@ int main() {
   std::printf("\n");
   const double kernel_speedup = PrintDistanceKernelTable();
 
-  // FeatureCache on/off at 1 and 4 threads: same partitions.
-  struct Combo {
-    size_t threads;
-    bool cache;
-  };
-  const Combo combos[] = {{1, true}, {1, false}, {4, true}, {4, false}};
+  // The multi-request stream at 1 and 4 threads: same partitions.
   std::vector<StreamRun> stream_runs;
-  TablePrinter cache_table(
-      {"config", "threads", "seconds", "knn_trees_built", "view_hits"});
-  for (const Combo& combo : combos) {
-    SetParallelThreads(combo.threads);
-    StreamRun run = TimeDetectStream(combo.cache);
-    cache_table.AddRow({combo.cache ? "cache_on" : "cache_off",
-                        TablePrinter::Num(combo.threads, 0),
-                        TablePrinter::Num(run.seconds, 4),
-                        TablePrinter::Num(run.trees_built, 0),
-                        TablePrinter::Num(run.view_hits, 0)});
+  TablePrinter stream_table({"threads", "seconds", "knn_trees_built"});
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SetParallelThreads(threads);
+    StreamRun run = TimeDetectStream();
+    stream_table.AddRow({TablePrinter::Num(threads, 0),
+                         TablePrinter::Num(run.seconds, 4),
+                         TablePrinter::Num(run.trees_built, 0)});
     stream_runs.push_back(std::move(run));
   }
   SetParallelThreads(0);
-  cache_table.Print(
-      "detect stream — FeatureCache on/off (3 requests + replay)");
+  stream_table.Print("detect stream (3 requests + replay)");
 
-  bool cache_identical = true;
-  for (size_t i = 1; i < stream_runs.size(); ++i) {
-    cache_identical = cache_identical &&
-                      stream_runs[i].clean == stream_runs[0].clean &&
-                      stream_runs[i].noisy == stream_runs[0].noisy;
-  }
+  const bool stream_identical = stream_runs[1].clean == stream_runs[0].clean &&
+                                stream_runs[1].noisy == stream_runs[0].noisy;
   std::printf(
-      "\ncache on/off byte-identity at 1 and 4 threads: %s\n"
+      "\ndetect stream byte-identity at 1 and 4 threads: %s\n"
       "distance kernel speedup vs scalar loop: %.2fx\n",
-      cache_identical ? "PASS" : "FAIL", kernel_speedup);
-  return identical && cache_identical ? 0 : 1;
+      stream_identical ? "PASS" : "FAIL", kernel_speedup);
+  return identical && stream_identical ? 0 : 1;
 }

@@ -155,6 +155,7 @@ int main(int argc, char** argv) {
 
   double f1_sum = 0.0;
   size_t served_this_run = 0;
+  const Stopwatch run;
   if (use_async) {
     // Batched async path: every remaining dataset is submitted up front
     // (Submit applies backpressure when the queue fills) and responses are
@@ -282,12 +283,12 @@ int main(int argc, char** argv) {
 
   const PlatformStats& stats = platform.stats();
   std::printf(
-      "\nserved %lu requests (%lu samples, %lu flagged) in %.2fs; "
-      "%lu model updates\n",
+      "\nserved %lu requests (%lu samples, %lu flagged), %zu of them in "
+      "%.2fs this run; %lu model updates\n",
       static_cast<unsigned long>(stats.requests),
       static_cast<unsigned long>(stats.samples_processed),
       static_cast<unsigned long>(stats.samples_flagged_noisy),
-      stats.total_process_seconds,
+      served_this_run, run.ElapsedSeconds(),
       static_cast<unsigned long>(stats.model_updates));
   if (stats.samples_quarantined > 0 || stats.requests_rejected > 0) {
     std::printf("admission: %lu sample(s) quarantined, %lu request(s) "

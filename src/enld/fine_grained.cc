@@ -8,7 +8,6 @@
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
 #include "enld/contrastive.h"
-#include "enld/feature_cache.h"
 #include "enld/sample_sets.h"
 #include "enld/strategies.h"
 #include "knn/class_index.h"
@@ -68,6 +67,9 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
   ENLD_CHECK(inputs.incremental != nullptr);
   ENLD_CHECK(inputs.candidate != nullptr);
   ENLD_CHECK(inputs.conditional != nullptr);
+  ENLD_CHECK(inputs.candidate_view != nullptr);
+  ENLD_CHECK_EQ(inputs.candidate_view->predicted.size(),
+                inputs.candidate->size());
   ENLD_CHECK_GT(config.steps_per_iteration, 0u);
 
   MlpModel* model = inputs.model;
@@ -79,7 +81,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
   // get one value per fine-grained iteration, the vote-margin histogram
   // one observation per labeled sample per iteration. All appends happen
   // in sequential regions, so every value is thread-count invariant.
-  ENLD_TRACE_SPAN("detect");
   auto& registry = telemetry::MetricsRegistry::Global();
   telemetry::Series* clean_series = registry.GetSeries("detect/clean_size");
   telemetry::Series* ambiguous_series =
@@ -112,31 +113,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
   const Dataset iprime = candidate.Subset(iprime_positions);
   std::vector<size_t> all_iprime_rows(iprime.size());
   for (size_t i = 0; i < all_iprime_rows.size(); ++i) all_iprime_rows[i] = i;
-
-  // Cross-request memo (enld/feature_cache.h): valid only while the
-  // per-request model copy still carries the weights of the cache's
-  // current version. The first fine-tune step moves the weights off that
-  // version; everything recomputes from then on, exactly as uncached.
-  FeatureCache* cache = inputs.cache;
-  const uint64_t base_version =
-      cache != nullptr ? cache->model_version() : 0;
-  bool model_at_base = cache != nullptr;
-
-  // Model view over I'. On the cached path, compute (or reuse) the full
-  // candidate view once and select the I' rows out of it — bitwise
-  // identical to forwarding I' directly, because every view row depends
-  // only on the same input row (see ComputeModelView).
-  auto compute_iprime_view = [&]() -> ModelView {
-    if (model_at_base && !iprime.empty()) {
-      const ModelView* full = cache->FindView(base_version);
-      if (full == nullptr) {
-        full = cache->StoreView(base_version,
-                                ComputeModelView(model, candidate));
-      }
-      return SelectViewRows(*full, iprime_positions);
-    }
-    return ComputeModelView(model, iprime);
-  };
 
   // Sampling round: produces the contrastive multiset (positions into
   // iprime) and, for the Pseudo policy, replacement labels.
@@ -213,10 +189,12 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     }
   };
 
-  // Initial sets (Algorithm 1, lines 5–7).
+  // Initial sets (Algorithm 1, lines 5–7). The model still holds θ's
+  // weights, so the I' rows of θ's candidate view are the view a forward
+  // pass of I' would give, bit for bit (see ComputeModelView).
   ModelView view = [&] {
     ENLD_TRACE_SPAN("detect/inference");
-    return compute_iprime_view();
+    return SelectViewRows(*inputs.candidate_view, iprime_positions);
   }();
   // One forward pass of D gives both its features and its ambiguous set.
   // Each iteration's last voting pass refreshes them.
@@ -252,7 +230,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     warm.select_best_on_validation = true;
     warm.seed = rng.NextUInt64();
     TrainModel(model, train_set, &incremental, warm);
-    model_at_base = false;
   }
 
   // Missing-label pseudo votes, accumulated over every step (Section V-H).
@@ -284,7 +261,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
         ENLD_TRACE_SPAN("detect/finetune");
         step_config.seed = rng.NextUInt64();
         TrainModel(model, train_set, /*validation=*/nullptr, step_config);
-        model_at_base = false;
       }
       ENLD_TRACE_SPAN("detect/voting");
       votes_cast->Add(incremental.size());
@@ -332,7 +308,7 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     // Sample update & re-sampling (lines 15–21).
     {
       ENLD_TRACE_SPAN("detect/inference");
-      view = compute_iprime_view();
+      view = ComputeModelView(model, iprime);
     }
     ambiguous_series->Append(static_cast<double>(ambiguous.size()));
     out.result.per_iteration_ambiguous.push_back(ambiguous.size());

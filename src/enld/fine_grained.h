@@ -7,11 +7,10 @@
 #include "data/dataset.h"
 #include "enld/config.h"
 #include "enld/detector.h"
+#include "enld/model_view.h"
 #include "nn/mlp.h"
 
 namespace enld {
-
-class FeatureCache;
 
 /// Inputs of one fine-grained detection run (Algorithm 3).
 struct FineGrainedInputs {
@@ -23,12 +22,11 @@ struct FineGrainedInputs {
   const Dataset* candidate = nullptr;
   /// P̃(y* = j | ỹ = i), square over all classes.
   const std::vector<std::vector<double>>* conditional = nullptr;
-  /// Optional cross-request memo (enld/feature_cache.h). When set, `model`
-  /// must start with the weights of the cache's current model version; the
-  /// initial candidate view and KNN index are then served from / stored
-  /// into the cache, and any fine-tune step falls back to recomputation.
-  /// Output is bitwise identical with or without it.
-  FeatureCache* cache = nullptr;
+  /// ComputeModelView(θ, I_c), one row per candidate row, where θ holds
+  /// the weights `model` starts with. The initial I' view is selected out
+  /// of it instead of forwarding I' again; every later view is computed
+  /// from the fine-tuned copy.
+  const ModelView* candidate_view = nullptr;
 };
 
 /// Outputs: the clean/noisy split of D (with per-iteration trajectories and

@@ -1,8 +1,6 @@
 #include "enld/framework.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/telemetry/metrics.h"
@@ -27,22 +25,10 @@ void RecordConditionalDiagonal(
   }
 }
 
-/// ENLD_FEATURE_CACHE=0 (or "off") disables the cache regardless of
-/// config, so ops and CI drills can compare cached vs uncached runs of the
-/// same binary without a config change.
-bool FeatureCacheEnvEnabled() {
-  const char* env = std::getenv("ENLD_FEATURE_CACHE");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
-}
-
 }  // namespace
 
 EnldFramework::EnldFramework(const EnldConfig& config)
-    : config_(config),
-      rng_(config.seed),
-      feature_cache_enabled_(config.use_feature_cache &&
-                             FeatureCacheEnvEnabled()) {}
+    : config_(config), rng_(config.seed) {}
 
 void EnldFramework::Setup(const Dataset& inventory) {
   ENLD_TRACE_SPAN("setup");
@@ -61,12 +47,27 @@ void EnldFramework::Setup(const Dataset& inventory) {
   }
   RecordConditionalDiagonal(conditional_, "setup/ptilde_diag");
   selected_clean_.assign(candidate_set_->size(), false);
-  feature_cache_.BumpModelVersion();
+  candidate_view_ = ModelView();
 }
 
 DetectionResult EnldFramework::Detect(const Dataset& incremental) {
   ENLD_CHECK(model_ != nullptr);  // Setup must run first.
   ENLD_CHECK_EQ(incremental.num_classes, candidate_set_->num_classes);
+  ENLD_TRACE_SPAN("detect");
+
+  // θ's view of I_c: computed by the first Detect after Setup or a
+  // restore, found by every other.
+  static telemetry::Counter* view_hits =
+      telemetry::MetricsRegistry::Global().GetCounter("cache/view_hits");
+  static telemetry::Counter* view_misses =
+      telemetry::MetricsRegistry::Global().GetCounter("cache/view_misses");
+  if (candidate_view_.empty()) {
+    ENLD_TRACE_SPAN("detect/inference");
+    view_misses->Increment();
+    candidate_view_ = ComputeModelView(model_.get(), *candidate_set_);
+  } else {
+    view_hits->Increment();
+  }
 
   // Fine-tune a copy of θ so the general model survives the request. The
   // fork keeps rng_'s stream where it was when the copy drew a throwaway
@@ -79,7 +80,7 @@ DetectionResult EnldFramework::Detect(const Dataset& incremental) {
   inputs.incremental = &incremental;
   inputs.candidate = candidate_set_.get();
   inputs.conditional = &conditional_;
-  if (feature_cache_enabled_) inputs.cache = &feature_cache_;
+  inputs.candidate_view = &candidate_view_;
   FineGrainedOutputs outputs = FineGrainedDetect(inputs, config_, rng_);
 
   for (size_t pos : outputs.selected_candidate) {
@@ -182,9 +183,9 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
     selected_clean_[i] = state.selected_clean[i] != 0;
   }
   rng_.SetState(state.rng);
-  // The restored weights/candidate set need not match anything cached from
-  // the pre-restore lineage.
-  feature_cache_.BumpModelVersion();
+  // The first Detect computes the restored θ's view: a restore stays a
+  // copy, with no forward pass.
+  candidate_view_ = ModelView();
   return Status::OK();
 }
 
@@ -215,23 +216,17 @@ Status EnldFramework::UpdateModel() {
   model_ = std::move(updated);
 
   // Swap I_t and I_c — the pointers, so a captured state keeps the sets it
-  // shares — then re-estimate P̃ on the new candidate set. New weights and
-  // a swapped candidate set make everything cached stale. With the cache
-  // on, P̃'s forward pass over the new I_c is the candidate view the next
-  // request would compute: count the joint from its predictions (the same
-  // argmax of the same logits) and store it under the new version.
+  // shares — then re-estimate P̃ on the new candidate set. P̃'s forward
+  // pass over the new I_c under the new θ is the new candidate view: count
+  // the joint from its predictions (the argmax EstimateJointCounts takes
+  // of the same logits) and keep it for the next Detect. The old view goes
+  // first, so the two never share the memory peak.
   std::swap(train_set_, candidate_set_);
   const std::vector<std::vector<double>> previous = conditional_;
-  feature_cache_.BumpModelVersion();
-  JointCounts joint;
-  if (feature_cache_enabled_) {
-    ModelView view = ComputeModelView(model_.get(), *candidate_set_);
-    joint = CountJoint(*candidate_set_, view.predicted);
-    feature_cache_.StoreView(feature_cache_.model_version(), std::move(view));
-  } else {
-    joint = EstimateJointCounts(model_.get(), *candidate_set_);
-  }
-  conditional_ = ConditionalFromJoint(joint);
+  candidate_view_ = ModelView();
+  candidate_view_ = ComputeModelView(model_.get(), *candidate_set_);
+  conditional_ = ConditionalFromJoint(
+      CountJoint(*candidate_set_, candidate_view_.predicted));
 
   // Per-class P̃ drift: L1 distance between the old and new conditional
   // rows, one series value per class per update.

@@ -9,7 +9,7 @@
 #include "common/status.h"
 #include "enld/config.h"
 #include "enld/detector.h"
-#include "enld/feature_cache.h"
+#include "enld/model_view.h"
 #include "nn/confident_joint.h"
 #include "nn/general_model.h"
 
@@ -89,20 +89,6 @@ class EnldFramework : public NoisyLabelDetector {
 
   const EnldConfig& config() const { return config_; }
 
-  /// The cross-request feature/KNN-index cache. Its model version bumps on
-  /// Setup, UpdateModel, RestoreState and InvalidateFeatureCache; Detect
-  /// passes it to the fine-grained run when `feature_cache_enabled()`.
-  const FeatureCache& feature_cache() const { return feature_cache_; }
-
-  /// True when EnldConfig::use_feature_cache is set and the
-  /// ENLD_FEATURE_CACHE env var (read at construction) does not disable it.
-  bool feature_cache_enabled() const { return feature_cache_enabled_; }
-
-  /// Explicit ops-level invalidation: drops every cached entry and bumps
-  /// the model version. Never changes detection output — only whether the
-  /// next request recomputes its view/index.
-  void InvalidateFeatureCache() { feature_cache_.BumpModelVersion(); }
-
   /// Captures the complete framework state for snapshotting: the model,
   /// P̃, S_c and RNG are copied, I_t and I_c shared. Requires Setup (or
   /// RestoreState) to have run.
@@ -127,8 +113,11 @@ class EnldFramework : public NoisyLabelDetector {
   /// S_c membership, parallel to candidate_set_.
   std::vector<bool> selected_clean_;
   Rng rng_;
-  FeatureCache feature_cache_;
-  bool feature_cache_enabled_ = true;
+  /// ComputeModelView(θ, I_c), or empty until a Detect needs it. θ and I_c
+  /// change only in Setup, UpdateModel and RestoreState: Setup and
+  /// RestoreState clear the view, UpdateModel sets it from the pass that
+  /// counts P̃'s joint. Not part of the captured state.
+  ModelView candidate_view_;
 };
 
 }  // namespace enld

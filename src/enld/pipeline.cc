@@ -264,9 +264,7 @@ void RequestPipeline::BeginBackgroundScrub() {
     }
     PipelineMetrics::Get().scrub_runs->Increment();
     if (findings.ok()) {
-      for (uint64_t i = 0; i < findings.value(); ++i) {
-        PipelineMetrics::Get().scrub_findings->Increment();
-      }
+      PipelineMetrics::Get().scrub_findings->Add(findings.value());
     } else {
       PipelineMetrics::Get().scrub_failures->Increment();
     }

@@ -34,36 +34,6 @@ double MaybeInjectStall(const char* site, double deadline_seconds) {
   return 0.0;
 }
 
-/// Charges the enclosing scope's wall time to `sink` on every exit path —
-/// Process must account screening, subset-copy and failure time, not just
-/// detection (stats comment on total_process_seconds). Injected stall
-/// penalties (modeled time that did not really pass) are folded into both
-/// the elapsed reading and the charge, so a faulted request is accounted as
-/// if it had genuinely been that slow.
-class ScopedTimeCharge {
- public:
-  /// `sink` is accumulated (+=); `total_out`, when given, is assigned (=)
-  /// the same elapsed reading — the per-request timings slot, which wants
-  /// this request's total rather than a running sum.
-  explicit ScopedTimeCharge(double* sink, double* total_out = nullptr)
-      : sink_(sink), total_out_(total_out) {}
-  ~ScopedTimeCharge() {
-    const double elapsed = ElapsedSeconds();
-    *sink_ += elapsed;
-    if (total_out_ != nullptr) *total_out_ = elapsed;
-  }
-  void AddPenalty(double seconds) { penalty_ += seconds; }
-  double ElapsedSeconds() const {
-    return timer_.ElapsedSeconds() + penalty_;
-  }
-
- private:
-  Stopwatch timer_;
-  double penalty_ = 0.0;
-  double* sink_;
-  double* total_out_;
-};
-
 /// Rewrites a DetectionResult computed on the admitted subset so its
 /// indices refer to rows of the original request dataset. `admitted[i]` is
 /// the original position of subset row i; `original_rows` restores the
@@ -196,11 +166,14 @@ StatusOr<DetectionResult> DataPlatform::Process(
     return Status::FailedPrecondition("platform not initialized");
   }
   // Timing starts at request entry: admission screening and the subset
-  // copy are part of serving the request and count toward both
-  // total_process_seconds and the deadline budget.
+  // copy are part of serving the request and count toward the deadline
+  // budget. Injected stall penalties (modeled time that did not really
+  // pass) count too, so a faulted request is timed as if it had genuinely
+  // been that slow.
   last_timings_ = RequestTimings{};
-  ScopedTimeCharge timer(&stats_.total_process_seconds,
-                         &last_timings_.total_seconds);
+  const Stopwatch timer;
+  double penalty = 0.0;
+  const auto elapsed = [&] { return timer.ElapsedSeconds() + penalty; };
   // The span tree aggregates by name, so the id itself lives in the
   // serving ring buffer and audit records; the span counts how many
   // requests carried one (docs/OBSERVABILITY.md).
@@ -220,36 +193,35 @@ StatusOr<DetectionResult> DataPlatform::Process(
         "incremental class count does not match the inventory");
   }
 
-  timer.AddPenalty(MaybeInjectStall("platform/slow_admission", deadline));
+  penalty += MaybeInjectStall("platform/slow_admission", deadline);
   StatusOr<std::vector<size_t>> admitted =
       AdmitSamples(incremental, stats_.requests + 1, request_id);
-  last_timings_.admission_seconds = timer.ElapsedSeconds();
+  last_timings_.admission_seconds = elapsed();
   if (!admitted.ok()) return admitted.status();
   const bool screened = admitted->size() != incremental.size();
 
   // Deadline check #1, before detection: a request already over budget is
   // dropped without touching the framework (its RNG stream included), so
   // the remaining stream is byte-identical to one that never saw it.
-  if (deadline > 0.0 && timer.ElapsedSeconds() > deadline) {
-    return RecordDeadlineExceeded(timer.ElapsedSeconds(), "admission",
-                                  deadline, request_id);
+  if (deadline > 0.0 && elapsed() > deadline) {
+    return RecordDeadlineExceeded(elapsed(), "admission", deadline,
+                                  request_id);
   }
 
-  timer.AddPenalty(MaybeInjectStall("platform/slow_detect", deadline));
+  penalty += MaybeInjectStall("platform/slow_detect", deadline);
   DetectionResult result =
       screened
           ? RemapResult(framework_.Detect(incremental.Subset(*admitted)),
                         *admitted, incremental.size())
           : framework_.Detect(incremental);
-  last_timings_.detect_seconds =
-      timer.ElapsedSeconds() - last_timings_.admission_seconds;
+  last_timings_.detect_seconds = elapsed() - last_timings_.admission_seconds;
 
   // Deadline check #2, after detection: the work happened but the caller's
   // budget is blown — degrade by discarding the result so the queue behind
   // this request keeps draining.
-  if (deadline > 0.0 && timer.ElapsedSeconds() > deadline) {
-    return RecordDeadlineExceeded(timer.ElapsedSeconds(), "detection",
-                                  deadline, request_id);
+  if (deadline > 0.0 && elapsed() > deadline) {
+    return RecordDeadlineExceeded(elapsed(), "detection", deadline,
+                                  request_id);
   }
 
   ++stats_.requests;

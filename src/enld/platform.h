@@ -59,11 +59,10 @@ struct DeadlineRecord {
 
 /// Wall-clock stage breakdown of the most recent Process call, for the
 /// serving layer's per-request histograms and ring buffer. Includes
-/// injected-stall penalties, like total_process_seconds does.
+/// injected-stall penalties, like the deadline checks do.
 struct RequestTimings {
   double admission_seconds = 0.0;  ///< entry through admission screening
   double detect_seconds = 0.0;     ///< detection proper (0 if never reached)
-  double total_seconds = 0.0;      ///< full Process wall time, every exit path
 };
 
 /// Running counters of a platform instance.
@@ -85,10 +84,6 @@ struct PlatformStats {
   uint64_t update_retries = 0;
   /// Requests dropped for exceeding request_deadline_seconds.
   uint64_t requests_deadline_exceeded = 0;
-  /// Wall time spent inside Process, measured from request entry — it
-  /// includes admission screening, the subset copy, and failed requests'
-  /// time, not just detection.
-  double total_process_seconds = 0.0;
 };
 
 /// The deployment façade of Fig. 1: owns an EnldFramework, validates
@@ -159,10 +154,6 @@ class DataPlatform {
   bool update_pending() const { return update_pending_; }
   /// Direct access to the underlying framework (valid after Initialize).
   EnldFramework& framework() { return framework_; }
-  /// Ops-level feature-cache invalidation (enld/feature_cache.h): drops
-  /// the framework's cached candidate view / KNN index and bumps its model
-  /// version. Safe at any time; never changes detection output.
-  void InvalidateFeatureCache() { framework_.InvalidateFeatureCache(); }
 
   /// Writes a crash-safe snapshot of the complete platform state (model,
   /// I_t / I_c, P̃, S_c, stats, RNG position) into `dir` and advances the

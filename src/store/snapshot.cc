@@ -26,7 +26,7 @@ namespace {
 
 constexpr char kSnapshotMagic[8] = {'E', 'N', 'L', 'D', 'S', 'N', 'P', '1'};
 constexpr uint32_t kEndianTag = 0x01020304u;
-constexpr uint32_t kSnapshotVersion = 3;
+constexpr uint32_t kSnapshotVersion = 4;
 constexpr uint32_t kSectionCount = 6;
 constexpr char kSnapshotSchema[] = "enld-snapshot-manifest-v1";
 // Short aliases of the exported names in snapshot.h.
@@ -109,7 +109,6 @@ std::string EncodeSnapshotState(const SnapshotContents& contents) {
   PutU64(&payload, contents.stats.samples_processed);
   PutU64(&payload, contents.stats.samples_flagged_noisy);
   PutU64(&payload, contents.stats.model_updates);
-  PutF64(&payload, contents.stats.total_process_seconds);
   PutSection(&out, kSnapshotSectionStats, payload);
 
   payload.clear();
@@ -214,7 +213,6 @@ Status DecodeSnapshotState(std::string_view data,
         !stats.ReadU64(&contents->stats.samples_processed) ||
         !stats.ReadU64(&contents->stats.samples_flagged_noisy) ||
         !stats.ReadU64(&contents->stats.model_updates) ||
-        !stats.ReadF64(&contents->stats.total_process_seconds) ||
         stats.remaining() != 0) {
       return Status::InvalidArgument("malformed snapshot stats section");
     }

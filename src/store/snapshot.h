@@ -40,9 +40,10 @@ namespace store {
 /// DataPlatform::RestoreFromSnapshot.
 
 /// Section ids inside state.bin (mirrored by tools/check_report.py snapshot).
-/// state.bin is at version 3, the only version this build reads or
+/// state.bin is at version 4, the only version this build reads or
 /// writes: six sections, the admission section ending with the
-/// deadline-exceeded counter.
+/// deadline-exceeded counter. It holds no clock reading, so a store
+/// depends on the request stream alone.
 inline constexpr uint32_t kSnapshotSectionMeta = 1;
 inline constexpr uint32_t kSnapshotSectionStats = 2;
 inline constexpr uint32_t kSnapshotSectionRng = 3;
@@ -83,7 +84,7 @@ struct SnapshotContents {
 /// own files). Deterministic: identical contents yield identical bytes.
 std::string EncodeSnapshotState(const SnapshotContents& contents);
 
-/// Parses state.bin's header (magic, byte-order tag, version 3, six
+/// Parses state.bin's header (magic, byte-order tag, version 4, six
 /// sections) and walks its sections. InvalidArgument when the header is
 /// rejected, with its kind in `*fault` when given; section faults are left
 /// in the walk for the caller to judge. The scrubber's state.bin check.

@@ -430,7 +430,7 @@ TEST(MatMulTest, AccumulateEqualsTemporaryPlusAdd) {
 
 /// Row i of a product depends only on row i of a: it equals the 1-row
 /// product of that row, whichever tile or thread computed it. The
-/// FeatureCache's row selection relies on this.
+/// candidate view's row selection (enld/model_view.h) relies on this.
 TEST(MatMulTest, RowEqualsOneRowProduct) {
   Rng rng(10);
   const Matrix a = RandomMatrix(65, 64, rng);

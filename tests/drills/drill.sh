@@ -34,10 +34,6 @@ stream() {
 
 same() { diff -u "$1.req" "$2.req"; }
 
-# Every file of two stores but state.bin and MANIFEST.json, which carry
-# wall-clock seconds.
-same_store() { diff -r --exclude=state.bin --exclude=MANIFEST.json "$1" "$2"; }
-
 # A fault drill proves nothing if no fault fired.
 fired() { grep -E "fault injection: [1-9][0-9]* total" "$1"; }
 
@@ -45,14 +41,15 @@ drill_store() {
   "$bin/quickstart" --snapshot_dir=qs_store > quickstart.log
   "$bin/quickstart" --snapshot_dir=qs_store > restore.log
   grep -q "restored platform from snapshot" restore.log
-  # The simulated crash exits 3; the rerun resumes from the snapshot and
-  # serves the tail of an uninterrupted run.
-  stream full --datasets=3
+  # The simulated crash exits 3; the rerun resumes from the snapshot,
+  # serves the tail of an uninterrupted run and leaves the same store.
+  stream full --datasets=3 --snapshot_dir=full_store
   expect 3 stream killed --datasets=3 --kill_after=1 --snapshot_dir=store
   stream resumed --datasets=3 --snapshot_dir=store
   grep -q "resumed from snapshot" resumed.log
   tail -n 2 full.req > tail.req
   same tail resumed
+  diff -r full_store store
   check snapshot qs_store --all
   check snapshot store --all
   ENLD_BENCH_ROWS=2000 "$bench/bench_store_io" > store_io.log
@@ -60,34 +57,23 @@ drill_store() {
 
 # auto is AVX-512 where the host has it, so avx2 runs explicitly. The
 # snapshot bytes cover the model and the CRC-32 kernel: dataset manifests
-# record each shard's CRC.
+# record each shard's CRC. Every run, at either thread count, writes the
+# request lines and the store, file for file, of generic at one thread.
 drill_backend() {
   for t in 1 4; do
     for kernel in generic avx2 auto; do
       ENLD_THREADS=$t ENLD_KERNEL=$kernel stream ${kernel}_$t \
         --datasets=4 --snapshot_dir=store_${kernel}_$t
       check snapshot store_${kernel}_$t --all
+      same generic_1 ${kernel}_$t
+      diff -r store_generic_1 store_${kernel}_$t
     done
-    for kernel in avx2 auto; do
-      same generic_$t ${kernel}_$t
-      same_store store_generic_$t store_${kernel}_$t
-    done
-  done
-}
-
-drill_cache() {
-  for t in 1 4; do
-    ENLD_THREADS=$t stream cached_$t --datasets=4 \
-      --telemetry_out=cached_$t.json
-    ENLD_THREADS=$t ENLD_FEATURE_CACHE=0 stream uncached_$t --datasets=4 \
-      --telemetry_out=uncached_$t.json
-    same uncached_$t cached_$t
-    check cache cached_$t.json --uncached=uncached_$t.json
   done
 }
 
 # Every store fault site flaky at p=0.05: the retry layer absorbs every
-# transient, in the sequential loop and in the batched async pipeline.
+# transient, in the sequential loop and in the batched async pipeline, and
+# leaves the output and the store unchanged.
 drill_chaos() {
   local faults=store/read_file:0.05,store/write_file:0.05,store/fsync:0.05,store/rename:0.05,snapshot/publish:0.05
   export ENLD_FAULTS_SEED=7
@@ -98,10 +84,12 @@ drill_chaos() {
     same clean_$t chaos_$t
     fired chaos_$t.err
     check snapshot chaos_store_$t --all
+    diff -r clean_$t chaos_store_$t
     ENLD_THREADS=$t ENLD_FAULTS=$faults stream async_$t --datasets=4 \
       --async --batch_size=2 --snapshot_dir=async_store_$t
     same clean_$t async_$t
     check snapshot async_store_$t --all
+    diff -r clean_$t async_store_$t
   done
   # One request overruns its deadline; the ones behind it keep flowing.
   ENLD_FAULTS=platform/slow_detect:1.0:1 stream deadline --datasets=4 \
@@ -257,8 +245,8 @@ drill_detectors() {
 }
 
 drill_bench() {
-  # Exits non-zero when detector partitions differ across thread counts
-  # or with the feature cache on and off.
+  # Exits non-zero when detector partitions, or the partitions of its
+  # multi-request stream, differ between thread counts.
   "$bench/bench_parallel_scaling" > parallel_scaling.log
   # bench_paper writes CLAIMS.json where it runs. Every row on two-dataset
   # streams; a scoped run records its verdicts and exits 0.

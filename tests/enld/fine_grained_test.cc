@@ -30,11 +30,15 @@ class FineGrainedTest : public ::testing::Test {
     conditional_ = new std::vector<std::vector<double>>(ConditionalFromJoint(
         EstimateJointCounts(general_->model.get(),
                             general_->candidate_set)));
+    candidate_view_ = new ModelView(
+        ComputeModelView(general_->model.get(), general_->candidate_set));
   }
   static void TearDownTestSuite() {
+    delete candidate_view_;
     delete conditional_;
     delete general_;
     delete workload_;
+    candidate_view_ = nullptr;
     conditional_ = nullptr;
     general_ = nullptr;
     workload_ = nullptr;
@@ -55,6 +59,7 @@ class FineGrainedTest : public ::testing::Test {
     inputs.incremental = &data;
     inputs.candidate = &general_->candidate_set;
     inputs.conditional = conditional_;
+    inputs.candidate_view = candidate_view_;
     Rng rng(config.seed);
     FineGrainedOutputs out = FineGrainedDetect(inputs, config, rng);
     if (final_weights != nullptr) *final_weights = finetuned.GetWeights();
@@ -72,11 +77,13 @@ class FineGrainedTest : public ::testing::Test {
   static Workload* workload_;
   static GeneralModel* general_;
   static std::vector<std::vector<double>>* conditional_;
+  static ModelView* candidate_view_;
 };
 
 Workload* FineGrainedTest::workload_ = nullptr;
 GeneralModel* FineGrainedTest::general_ = nullptr;
 std::vector<std::vector<double>>* FineGrainedTest::conditional_ = nullptr;
+ModelView* FineGrainedTest::candidate_view_ = nullptr;
 
 TEST_F(FineGrainedTest, CleanAndNoisyPartitionLabeledSamples) {
   const FineGrainedOutputs out = Run(FastConfig());

@@ -2,10 +2,13 @@
 // restored from its snapshot produces byte-identical detection results on
 // the remaining datasets as one that never stopped — including across an
 // automatic model update that fires *after* the resume point, and at any
-// thread count.
+// thread count. Both lives then save byte-identical stores.
 
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,18 @@ DataPlatformConfig ResumeConfig() {
   return config;
 }
 
+/// Every file under `root`, by its path relative to `root`, with its bytes.
+std::map<std::string, std::string> StoreFiles(const fs::path& root) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[fs::relative(entry.path(), root).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
 void ExpectResultsIdentical(const DetectionResult& a,
                             const DetectionResult& b) {
   EXPECT_EQ(a.noisy_indices, b.noisy_indices);
@@ -47,11 +62,17 @@ class ResumeDeterminismTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetParallelThreads(0);
-    fs::remove_all(snapshot_dir_);
+    for (const fs::path& dir : {snapshot_dir_, full_store_, resumed_store_}) {
+      fs::remove_all(dir);
+    }
   }
 
   fs::path snapshot_dir_ =
       fs::path(::testing::TempDir()) / "resume_determinism_snapshots";
+  fs::path full_store_ =
+      fs::path(::testing::TempDir()) / "resume_determinism_full";
+  fs::path resumed_store_ =
+      fs::path(::testing::TempDir()) / "resume_determinism_resumed";
 };
 
 TEST_F(ResumeDeterminismTest, RestoredPlatformMatchesUninterruptedRun) {
@@ -62,7 +83,9 @@ TEST_F(ResumeDeterminismTest, RestoredPlatformMatchesUninterruptedRun) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SetParallelThreads(threads);
-    fs::remove_all(snapshot_dir_);
+    for (const fs::path& dir : {snapshot_dir_, full_store_, resumed_store_}) {
+      fs::remove_all(dir);
+    }
 
     // Reference: one platform serves the whole stream without stopping.
     DataPlatform uninterrupted(ResumeConfig());
@@ -108,6 +131,20 @@ TEST_F(ResumeDeterminismTest, RestoredPlatformMatchesUninterruptedRun) {
     EXPECT_EQ(second_life.stats().model_updates,
               uninterrupted.stats().model_updates);
     EXPECT_GT(second_life.stats().model_updates, 0u);
+
+    // Saved into fresh stores, the two lives leave the same bytes in every
+    // file, state.bin and MANIFEST.json included.
+    ASSERT_TRUE(uninterrupted.SaveSnapshot(full_store_.string()).ok());
+    ASSERT_TRUE(second_life.SaveSnapshot(resumed_store_.string()).ok());
+    const auto full_files = StoreFiles(full_store_);
+    const auto resumed_files = StoreFiles(resumed_store_);
+    ASSERT_FALSE(full_files.empty());
+    ASSERT_EQ(full_files.size(), resumed_files.size());
+    for (const auto& [path, bytes] : full_files) {
+      const auto it = resumed_files.find(path);
+      ASSERT_NE(it, resumed_files.end()) << path;
+      EXPECT_TRUE(it->second == bytes) << path << " differs";
+    }
   }
 }
 

@@ -75,7 +75,7 @@ std::string StateWithSection(uint32_t id, const std::string& payload) {
   return out;
 }
 
-TEST(SnapshotStateTest, OnlyVersionThreeDecodes) {
+TEST(SnapshotStateTest, OnlyVersionFourDecodes) {
   const std::string state = SmallState();
   store::SnapshotContents decoded;
   ASSERT_TRUE(store::DecodeSnapshotState(state, &decoded).ok());
@@ -83,14 +83,20 @@ TEST(SnapshotStateTest, OnlyVersionThreeDecodes) {
   EXPECT_EQ(decoded.framework.selected_clean,
             (std::vector<uint8_t>{1, 0, 1}));
 
-  // The retired versions: v2 (six sections) and v1 (five sections). The
+  // The retired versions: v3 (its stats section ends with an 8-byte
+  // process-seconds clock), v2 (six sections) and v1 (five sections). The
   // version is the u32 after the 8-byte magic and the byte-order tag.
+  std::string stats;
+  for (int i = 0; i < 4; ++i) store::PutU64(&stats, 0);
+  store::PutF64(&stats, 0.25);
+  std::string v3 = StateWithSection(store::kSnapshotSectionStats, stats);
+  v3[12] = 3;
   std::string v2 = state;
   v2[12] = 2;
   std::string v1 = v2;
   v1[12] = 1;
   v1[16] = 5;
-  for (const std::string& old : {v2, v1}) {
+  for (const std::string& old : {v3, v2, v1}) {
     EXPECT_EQ(store::DecodeSnapshotState(old, &decoded).code(),
               StatusCode::kInvalidArgument);
   }

@@ -198,26 +198,6 @@ def check_serving(doc, opts, path):
     at_most(counters, "rpc/responses", "rpc/requests")
 
 
-HITS, TREES = "cache/view_hits", "knn/trees_built"
-CACHE = {"schema": {"enld-telemetry-v1"},
-         "metrics": {"counters": {TREES: "uint"}}}
-
-
-@kind("cache", ("uncached=",), CACHE)
-def check_cache(doc, opts, path):
-    other = load(opts["uncached"])
-    if not typed(other, CACHE, f"{opts['uncached']}: "):
-        return
-    cached, uncached = (d["metrics"]["counters"] for d in (doc, other))
-    # The feature cache must carry real traffic when on, none when off,
-    # and never cost an extra KD-tree build.
-    if cached.get(HITS, 0) < 1 or uncached.get(HITS, 0) != 0:
-        fail(f"{HITS} {cached.get(HITS)} cached, {uncached.get(HITS)} "
-             "uncached; want >= 1 and 0")
-    if cached[TREES] > uncached[TREES]:
-        fail(f"{TREES} {cached[TREES]} cached > {uncached[TREES]} uncached")
-
-
 # Live stats (docs/OBSERVABILITY.md): one rpc/e2e_seconds observation per
 # dispatched request, consistent counters, and a ring of tagged requests.
 @kind("stats", ("expect-requests=", "expect-tagged-ring"), {
@@ -612,9 +592,9 @@ def check_header(path, data, magic, version):
 
 
 def check_state_bin(path, data):
-    """Version 3, the only one the store reads, then a run of (id u32,
+    """Version 4, the only one the store reads, then a run of (id u32,
     len u64, crc u32, payload) section envelopes."""
-    if not check_header(path, data, b"ENLDSNP1", 3):
+    if not check_header(path, data, b"ENLDSNP1", 4):
         return
     (count,) = struct.unpack_from("<I", data, 16)
     if count != len(STATE_SECTION_IDS):
@@ -753,8 +733,6 @@ def main(argv):
             exit_with(2, f"check_report.py {kind}: bad argument {arg}; "
                       f"accepted: {' '.join('--' + f for f in flags)}")
         opts[name] = value if eq else True
-    if kind == "cache" and "uncached" not in opts:
-        exit_with(2, "check_report.py cache: --uncached=PATH is required")
     try:
         doc = spec and load(path)
         if spec is None or typed(doc, spec):
