@@ -12,8 +12,10 @@
 #include "common/distance.h"
 #include "common/kernel_backend.h"
 #include "common/matrix.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/row_kernels.h"
+#include "enld/model_view.h"
 #include "graph/knn_graph.h"
 #include "graph/union_find.h"
 #include "knn/kdtree.h"
@@ -342,6 +344,30 @@ void BM_MlpForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * inputs.rows());
 }
 BENCHMARK(BM_MlpForward);
+
+// ---- Inference rows (docs/BENCHMARKS.md, "Blocked inference") ----
+// θ's view (softmax, features and argmax) through the fine-tune MLP over
+// I' at an 8k-row inventory (400 rows), I_c at 8k (4,000) and I_c at 64k
+// (32,000), at 1 and 4 pool threads. Args are {rows, threads}; wall time.
+
+void BM_ComputeModelView(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  SetParallelThreads(static_cast<size_t>(state.range(1)));
+  Rng rng(15);
+  const MlpModel model({32, 128, 64, 100}, rng);
+  Dataset dataset;
+  dataset.features = RandomPoints(rows, 32, 16);
+  dataset.observed_labels.assign(rows, 0);
+  dataset.num_classes = 100;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeModelView(&model, dataset));
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+  SetParallelThreads(0);
+}
+BENCHMARK(BM_ComputeModelView)
+    ->ArgsProduct({{400, 4000, 32000}, {1, 4}})
+    ->UseRealTime();
 
 void BM_UnionFind(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

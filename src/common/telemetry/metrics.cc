@@ -146,13 +146,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> upper_bounds) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -176,9 +169,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, counter] : counters_) {
     out.counters[name] = counter->Value();
   }
-  for (const auto& [name, gauge] : gauges_) {
-    out.gauges[name] = gauge->Value();
-  }
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot h;
     h.upper_bounds = histogram->upper_bounds();
@@ -199,7 +189,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
   for (auto& [name, series] : series_) series->Reset();
 }

@@ -13,16 +13,16 @@
 namespace enld {
 namespace telemetry {
 
-/// Process-wide metrics layer: named counters, gauges, fixed-bucket
-/// histograms and append-only series, owned by a global registry.
+/// Process-wide metrics layer: named counters, fixed-bucket histograms
+/// and append-only series, owned by a global registry.
 ///
 /// Recording is designed to be safe and cheap from inside ParallelFor
 /// bodies: counters and histogram buckets are sharded std::atomic cells
 /// (no lock on the record path), so concurrent increments never contend on
 /// one cache line and integer accumulation is exact — metric *values* are
 /// identical at any ENLD_THREADS setting as long as the recorded work is.
-/// Gauges and series are meant for sequential regions (per-iteration
-/// bookkeeping); series appends take a mutex and preserve append order.
+/// Series are meant for sequential regions (per-iteration bookkeeping);
+/// their appends take a mutex and preserve append order.
 ///
 /// Naming conventions (see docs/OBSERVABILITY.md): "area/metric" paths,
 /// e.g. "detect/votes_cast". Cost/timing metrics — excluded from the
@@ -48,17 +48,6 @@ class Counter {
     std::atomic<uint64_t> value{0};
   };
   Shard shards_[kCounterShards];
-};
-
-/// Last-write-wins double value. Set from sequential regions.
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0.0); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Fixed-bucket histogram with <=-semantics: an observation lands in the
@@ -133,7 +122,6 @@ double HistogramQuantile(const HistogramSnapshot& snapshot, double q);
 /// (sorted) serialization order.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
   std::map<std::string, std::vector<double>> series;
 };
@@ -151,7 +139,6 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   /// `upper_bounds` is consulted only on first registration of `name`.
   Histogram* GetHistogram(const std::string& name,
                           std::vector<double> upper_bounds);
@@ -163,7 +150,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Series>> series_;
 };

@@ -141,13 +141,6 @@ std::string RunReportToJson(const RunReport& report) {
     first = false;
     out << JsonString(name) << ":" << value;
   }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : report.metrics.gauges) {
-    if (!first) out << ",";
-    first = false;
-    out << JsonString(name) << ":" << JsonNumber(value);
-  }
   out << "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : report.metrics.histograms) {
@@ -202,9 +195,6 @@ std::string RunReportToCsv(const RunReport& report) {
   for (const auto& [name, value] : report.metrics.counters) {
     out << "counter," << name << "," << value << "\n";
   }
-  for (const auto& [name, value] : report.metrics.gauges) {
-    out << "gauge," << name << "," << JsonNumber(value) << "\n";
-  }
   for (const auto& [name, h] : report.metrics.histograms) {
     for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
       out << "histogram," << name << "[le="
@@ -255,9 +245,6 @@ MetricsSnapshot DeterministicView(const MetricsSnapshot& snapshot) {
   MetricsSnapshot out;
   for (const auto& [name, value] : snapshot.counters) {
     if (!IsCostMetric(name)) out.counters[name] = value;
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (!IsCostMetric(name)) out.gauges[name] = value;
   }
   for (const auto& [name, value] : snapshot.histograms) {
     if (!IsCostMetric(name)) out.histograms[name] = value;

@@ -36,7 +36,7 @@ void ResetTelemetry();
 std::string RunReportToJson(const RunReport& report);
 
 /// Flat `kind,name,value` rows: spans (path joined with '>'), counters,
-/// gauges, histogram buckets and series points.
+/// histogram buckets and series points.
 std::string RunReportToCsv(const RunReport& report);
 
 /// Writes CSV when `path` ends in ".csv", JSON otherwise.

@@ -305,10 +305,18 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     clean_series->Append(static_cast<double>(clean_positions.size()));
     out.result.per_iteration_clean.push_back(clean_positions);
 
-    // Sample update & re-sampling (lines 15–21).
+    // Sample update & re-sampling (lines 15–21). The last iteration's
+    // view feeds only the S_c counts below, with no resample after it, so
+    // its pass asks for the argmax alone.
+    const bool last_iteration = iter + 1 == config.iterations;
     {
       ENLD_TRACE_SPAN("detect/inference");
-      view = ComputeModelView(model, iprime);
+      if (last_iteration) {
+        view = ModelView();
+        view.predicted = model->Predict(iprime.features);
+      } else {
+        view = ComputeModelView(model, iprime);
+      }
     }
     ambiguous_series->Append(static_cast<double>(ambiguous.size()));
     out.result.per_iteration_ambiguous.push_back(ambiguous.size());
@@ -324,7 +332,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
       }
     }
 
-    const bool last_iteration = iter + 1 == config.iterations;
     if (!last_iteration) {
       {
         ENLD_TRACE_SPAN("detect/sampling");

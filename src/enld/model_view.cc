@@ -4,13 +4,12 @@
 
 namespace enld {
 
-ModelView ComputeModelView(MlpModel* model, const Dataset& dataset) {
+ModelView ComputeModelView(const MlpModel* model, const Dataset& dataset) {
   ModelView view;
   if (dataset.empty()) return view;
-  Matrix logits;
-  model->Forward(dataset.features, &logits, &view.features);
-  SoftmaxRows(logits, &view.probs);
-  view.predicted = ArgMaxRows(logits);
+  model->Infer(dataset.features, {.probs = &view.probs,
+                                  .features = &view.features,
+                                  .predicted = &view.predicted});
   return view;
 }
 

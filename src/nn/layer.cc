@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/gemm.h"
 #include "common/row_kernels.h"
 
 namespace enld {
@@ -38,6 +39,13 @@ void LinearLayer::Forward(const Matrix& input, Matrix* output) {
   // z = sum + bias, with relu then z > 0 ? z : 0, in one pass.
   AddBiasKernel(output->data(), output->rows(), output->cols(), bias_.data(),
                 relu_);
+}
+
+void LinearLayer::ForwardRows(const float* input, size_t input_stride,
+                              size_t rows, float* output) const {
+  Gemm(rows, out_dim(), in_dim(), input, input_stride, 1, weights_.data(),
+       out_dim(), output, out_dim(), /*accumulate=*/false);
+  AddBiasKernel(output, rows, out_dim(), bias_.data(), relu_);
 }
 
 void LinearLayer::Backward(const Matrix& input, const Matrix& output,

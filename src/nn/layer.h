@@ -61,6 +61,13 @@ class LinearLayer : public Layer {
                 const Matrix& grad_output, Matrix* grad_input) override;
   std::vector<ParamRef> Params() override;
 
+  /// Forward over `rows` rows of in_dim() floats, row r at
+  /// `input + r * input_stride`, into `output`'s rows of out_dim() floats:
+  /// one GEMM and one bias pass on the calling thread, the same bits as
+  /// Forward. Reads the layer only (MlpModel::Infer's blocks).
+  void ForwardRows(const float* input, size_t input_stride, size_t rows,
+                   float* output) const;
+
   size_t in_dim() const { return weights_.rows(); }
   size_t out_dim() const { return weights_.cols(); }
 

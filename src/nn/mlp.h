@@ -1,14 +1,34 @@
 #ifndef ENLD_NN_MLP_H_
 #define ENLD_NN_MLP_H_
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "common/gemm.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "nn/layer.h"
 
 namespace enld {
+
+/// Rows per block of an inference pass (MlpModel::Infer): whole GEMM
+/// tiles, and one block for a ~125-row increment's voting pass. A block's
+/// activations stay in cache, and no pass holds a tape as tall as its
+/// input. 128 measured at least even with 64 and 256 at 125, 400 and
+/// 4,000 rows (docs/BENCHMARKS.md, "Blocked inference").
+inline constexpr size_t kInferenceBlockRows = 128;
+static_assert(kInferenceBlockRows % kGemmTileRows == 0);
+
+/// The outputs one inference pass writes, one row per input row. Each
+/// non-null member is resized by the pass; a null one is neither kept nor
+/// written.
+struct InferenceOutputs {
+  Matrix* logits = nullptr;
+  Matrix* probs = nullptr;                // Softmax M(x, θ).
+  Matrix* features = nullptr;             // Penultimate M̂(x, θ).
+  std::vector<int>* predicted = nullptr;  // argmax M(x, θ).
+};
 
 /// Multilayer perceptron classifier with a *feature tap*: the activations
 /// entering the final linear (softmax) layer are exposed as the feature
@@ -42,19 +62,31 @@ class MlpModel {
   const std::vector<size_t>& layer_dims() const { return layer_dims_; }
   double dropout_rate() const { return dropout_rate_; }
 
+  /// The one inference loop. Streams `inputs` through the network in
+  /// blocks of kInferenceBlockRows rows, reading each block's rows in place
+  /// and keeping only a block-sized scratch tape, and writes the requested
+  /// `outputs` row by row. Blocks are the pool's grain: at
+  /// ENLD_THREADS > 1 they run concurrently, each GEMM and row kernel
+  /// inline on its thread. Every row depends only on its own input row
+  /// (GEMM row independence), so the bits equal one-row calls' at any
+  /// thread count. Reads the model only: dropout is the identity here, so
+  /// no pass touches a dropout layer.
+  void Infer(const Matrix& inputs, const InferenceOutputs& outputs) const;
+
   /// Forward pass; writes logits and, if non-null, the penultimate features.
   void Forward(const Matrix& inputs, Matrix* logits,
-               Matrix* features = nullptr);
+               Matrix* features = nullptr) const;
 
   /// Softmax confidences M(x, θ) for every input row.
-  Matrix Probabilities(const Matrix& inputs);
+  Matrix Probabilities(const Matrix& inputs) const;
 
   /// Penultimate-layer features M̂(x, θ) for every input row.
-  Matrix Features(const Matrix& inputs);
+  Matrix Features(const Matrix& inputs) const;
 
   /// argmax M(x, θ) per row; from the same forward pass, also the
   /// penultimate features when `features` is non-null.
-  std::vector<int> Predict(const Matrix& inputs, Matrix* features = nullptr);
+  std::vector<int> Predict(const Matrix& inputs,
+                           Matrix* features = nullptr) const;
 
   /// One optimizer step on a batch against soft targets; returns the batch
   /// loss. Gradients are zeroed, accumulated and applied inside; dropout is
@@ -81,10 +113,12 @@ class MlpModel {
   std::vector<size_t> layer_dims_;
   double dropout_rate_ = 0.0;
   std::vector<std::unique_ptr<Layer>> layers_;
-  // The activation tape: activations_[i] is layer i's output from the last
-  // Forward (the last layer writes the caller's logits instead). Backward
-  // reads it; later Forward calls reuse the storage.
-  std::vector<Matrix> activations_;
+  // The Linear layers of layers_, in order: all that inference runs.
+  std::vector<const LinearLayer*> linears_;
+  // TrainStep's activation tape: tape_[i] is layer i's output for the
+  // batch (the last is the logits). Backward reads it; later steps reuse
+  // the storage, which stays batch-sized.
+  std::vector<Matrix> tape_;
 };
 
 }  // namespace enld

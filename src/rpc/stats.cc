@@ -109,11 +109,6 @@ std::string RenderStatsJson(const StatsInfo& info) {
     counters.Set(name, U64(value));
   }
   metrics.Set("counters", std::move(counters));
-  store::JsonValue gauges = store::JsonValue::Object();
-  for (const auto& [name, value] : info.metrics.gauges) {
-    gauges.Set(name, store::JsonValue::Number(value));
-  }
-  metrics.Set("gauges", std::move(gauges));
   store::JsonValue histograms = store::JsonValue::Object();
   for (const auto& [name, snapshot] : info.metrics.histograms) {
     histograms.Set(name, HistogramJson(snapshot));

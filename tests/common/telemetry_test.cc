@@ -167,12 +167,10 @@ TEST_F(TelemetryTest, SeriesPreservesAppendOrder) {
 TEST_F(TelemetryTest, SnapshotCoversAllMetricKinds) {
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("test/c")->Add(7);
-  registry.GetGauge("test/g")->Set(2.5);
   registry.GetHistogram("test/h", {10.0})->Observe(4.0);
   registry.GetSeries("test/s")->Append(1.0);
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("test/c"), 7u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("test/g"), 2.5);
   EXPECT_EQ(snap.histograms.at("test/h").count, 1u);
   EXPECT_EQ(snap.series.at("test/s").size(), 1u);
 }
@@ -267,7 +265,6 @@ TEST_F(TelemetryTest, JsonReportContainsAllSections) {
   }
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("area/count")->Add(42);
-  registry.GetGauge("area/gauge")->Set(1.5);
   registry.GetHistogram("area/hist", {1.0, 2.0})->Observe(1.5);
   registry.GetSeries("area/series")->Append(7.0);
 
@@ -281,7 +278,6 @@ TEST_F(TelemetryTest, JsonReportContainsAllSections) {
   EXPECT_NE(json.find("\"method\":\"TestMethod\""), std::string::npos);
   EXPECT_NE(json.find("\"phase/sub\""), std::string::npos);
   EXPECT_NE(json.find("\"area/count\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"area/gauge\""), std::string::npos);
   EXPECT_NE(json.find("\"area/hist\""), std::string::npos);
   EXPECT_NE(json.find("\"area/series\""), std::string::npos);
   EXPECT_NE(json.find("\"f1_avg\""), std::string::npos);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/telemetry/metrics.h"
 #include "enld/framework.h"
@@ -72,6 +73,45 @@ TEST_F(ModelViewTest, SelectViewRowsMatchesDirectCompute) {
   ExpectSameMatrixBits(selected.probs, direct.probs);
   ExpectSameMatrixBits(selected.features, direct.features);
   EXPECT_EQ(selected.predicted, direct.predicted);
+}
+
+TEST_F(ModelViewTest, BlockedViewMatchesOneThreadAndRowByRow) {
+  // A candidate view's 4,000 rows at 4 threads: its row blocks run
+  // concurrently, and the view equals the one-thread view and the view
+  // assembled from 4,000 one-row views.
+  Rng rng(12);
+  const MlpModel model({32, 128, 64, 100}, rng);
+  Dataset rows;
+  rows.num_classes = 100;
+  rows.features.Reset(4000, 32);
+  for (size_t i = 0; i < rows.features.size(); ++i) {
+    rows.features.data()[i] = static_cast<float>(rng.Gaussian());
+  }
+  rows.observed_labels.assign(4000, 0);
+  rows.true_labels.assign(4000, 0);
+  rows.ids.assign(4000, 0);
+
+  SetParallelThreads(4);
+  const ModelView blocked = ComputeModelView(&model, rows);
+  SetParallelThreads(1);
+  const ModelView one_thread = ComputeModelView(&model, rows);
+  SetParallelThreads(0);
+  ExpectSameMatrixBits(blocked.probs, one_thread.probs);
+  ExpectSameMatrixBits(blocked.features, one_thread.features);
+  EXPECT_EQ(blocked.predicted, one_thread.predicted);
+
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const ModelView row = ComputeModelView(&model, rows.Subset({r}));
+    ASSERT_EQ(std::memcmp(row.probs.data(), blocked.probs.Row(r),
+                          row.probs.cols() * sizeof(float)),
+              0)
+        << "row " << r;
+    ASSERT_EQ(std::memcmp(row.features.data(), blocked.features.Row(r),
+                          row.features.cols() * sizeof(float)),
+              0)
+        << "row " << r;
+    ASSERT_EQ(row.predicted[0], blocked.predicted[r]) << "row " << r;
+  }
 }
 
 TEST_F(ModelViewTest, UpdateModelEstimatesConditionalOfTheNewModel) {

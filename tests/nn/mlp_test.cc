@@ -193,6 +193,129 @@ TEST(MlpModelTest, TrainingBitIdenticalAcrossBackendsAndThreads) {
   SetParallelThreads(0);
 }
 
+/// Every output of one inference pass, as n rows each.
+struct Inferred {
+  Matrix logits;
+  Matrix probs;
+  Matrix features;
+  std::vector<int> predicted;
+};
+
+Matrix GaussianRows(size_t rows, size_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(rng.Gaussian());
+  }
+  return m;
+}
+
+/// The first `rows` rows of `got` and `want` hold the same bits.
+void ExpectSameLeadingRows(const Matrix& got, const Matrix& want,
+                           size_t rows, const std::string& what) {
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  ASSERT_GE(got.rows(), rows) << what;
+  ASSERT_GE(want.rows(), rows) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        rows * want.cols() * sizeof(float)),
+            0)
+      << what;
+}
+
+/// One pass over n rows runs them through the network in row blocks; its
+/// logits, probabilities, features and predictions equal those of n
+/// one-row passes, bit for bit, for n on both sides of the block size and
+/// at a candidate view's 4,000 rows, on every kernel backend and at 1 and
+/// 4 threads. The outputs are checked all at once and one at a time, since
+/// the pass writes an unrequested output to scratch instead.
+TEST(MlpModelTest, InferenceInRowBlocksMatchesRowByRow) {
+  Rng rng(14);
+  const MlpModel model({32, 128, 64, 100}, rng);
+  constexpr size_t kBlock = kInferenceBlockRows;
+  const Matrix inputs = GaussianRows(4000, 32, 15);
+
+  const std::string saved_backend = KernelBackend();
+  for (const char* backend : {"generic", "avx2", "avx512"}) {
+    if (!SetKernelBackend(backend)) continue;  // CPU without AVX2/AVX-512.
+    SetParallelThreads(1);
+    Inferred want;
+    want.logits.Reset(inputs.rows(), 100);
+    want.probs.Reset(inputs.rows(), 100);
+    want.features.Reset(inputs.rows(), 64);
+    for (size_t r = 0; r < inputs.rows(); ++r) {
+      Inferred row;
+      model.Infer(inputs.SelectRows({r}), {&row.logits, &row.probs,
+                                           &row.features, &row.predicted});
+      std::memcpy(want.logits.Row(r), row.logits.data(), 100 * sizeof(float));
+      std::memcpy(want.probs.Row(r), row.probs.data(), 100 * sizeof(float));
+      std::memcpy(want.features.Row(r), row.features.data(),
+                  64 * sizeof(float));
+      want.predicted.push_back(row.predicted[0]);
+    }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SetParallelThreads(threads);
+      for (size_t n : {size_t{1}, size_t{7}, kBlock - 1, kBlock, kBlock + 1,
+                       2 * kBlock + 3, size_t{4000}}) {
+        const std::string at = std::string(backend) +
+                               " threads=" + std::to_string(threads) +
+                               " rows=" + std::to_string(n);
+        std::vector<size_t> rows(n);
+        for (size_t i = 0; i < n; ++i) rows[i] = i;
+        const Matrix x = inputs.SelectRows(rows);
+        const std::vector<int> want_predicted(want.predicted.begin(),
+                                              want.predicted.begin() + n);
+
+        Inferred all;
+        model.Infer(x, {&all.logits, &all.probs, &all.features,
+                        &all.predicted});
+        ASSERT_EQ(all.logits.rows(), n) << at;
+        ExpectSameLeadingRows(all.logits, want.logits, n, at + " logits");
+        ExpectSameLeadingRows(all.probs, want.probs, n, at + " probs");
+        ExpectSameLeadingRows(all.features, want.features, n,
+                              at + " features");
+        EXPECT_EQ(all.predicted, want_predicted) << at;
+
+        Matrix logits;
+        model.Forward(x, &logits);
+        ExpectSameLeadingRows(logits, want.logits, n, at + " Forward");
+        ExpectSameLeadingRows(model.Probabilities(x), want.probs, n,
+                              at + " Probabilities");
+        ExpectSameLeadingRows(model.Features(x), want.features, n,
+                              at + " Features");
+        EXPECT_EQ(model.Predict(x), want_predicted) << at << " Predict";
+      }
+    }
+  }
+  SetKernelBackend(saved_backend.c_str());
+  SetParallelThreads(0);
+}
+
+/// Dropout is the identity at inference: after a training step has drawn
+/// a mask, a blocked pass at 4 threads over a model with dropout equals the
+/// same weights without it. The blocks never reach the dropout layers.
+TEST(MlpModelTest, BlockedInferenceSkipsDropout) {
+  Rng rng(16);
+  MlpModel with({32, 128, 64, 10}, rng, /*dropout_rate=*/0.5);
+  SgdOptimizer optimizer(SgdConfig{});
+  std::vector<int> labels(64);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i % 10);
+  }
+  with.TrainStep(GaussianRows(64, 32, 17), OneHot(labels, 10), &optimizer);
+  const MlpModel without(with.layer_dims(), with.GetWeights());
+
+  SetParallelThreads(4);
+  const Matrix x = GaussianRows(1000, 32, 18);
+  Inferred a, b;
+  with.Infer(x, {&a.logits, &a.probs, &a.features, &a.predicted});
+  without.Infer(x, {&b.logits, &b.probs, &b.features, &b.predicted});
+  SetParallelThreads(0);
+  ExpectSameLeadingRows(a.logits, b.logits, x.rows(), "logits");
+  ExpectSameLeadingRows(a.probs, b.probs, x.rows(), "probs");
+  ExpectSameLeadingRows(a.features, b.features, x.rows(), "features");
+  EXPECT_EQ(a.predicted, b.predicted);
+}
+
 TEST(ModelZooTest, BackboneDims) {
   const auto resnet110 =
       BackboneLayerDims(Backbone::kResNet110Sim, 32, 100);
